@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -88,23 +88,24 @@ class _SharedMaskValueFunction:
         q2, net2 = self._state(mask)
         return 1.0 if self._engine.decide(self._person, q2, net2) else 0.0
 
-    def prefetch(self, masks) -> None:
-        """Evaluate many coalitions through one batched probe flush; the
-        results land in the engine's memos, so the per-mask ``__call__``
-        that follows is answered from memory.
+    def prefetch(self, masks) -> Optional[List[float]]:
+        """Evaluate many coalitions through one batched probe flush and
+        return their decision bits, one per mask, so the SHAP memo is
+        filled without a second overlay build and memo walk per mask.
 
-        A no-op when the engine cannot memoize (``memoize=False`` or the
-        ``full_rebuild`` reference path): without a memo to land in, a
-        bulk pass would just evaluate every coalition twice.
+        Returns None (evaluating nothing) when the engine cannot memoize
+        (``memoize=False`` or the ``full_rebuild`` reference path): those
+        modes keep probing one coalition per ``__call__``.
         """
         if not self._engine.memoize or self._engine.full_rebuild:
-            return
-        self._engine.probe_batch(
+            return None
+        results = self._engine.probe_batch(
             [
                 (self._person, q2, net2)
                 for q2, net2 in (self._state(mask) for mask in masks)
             ]
         )
+        return [1.0 if decision else 0.0 for decision, _ in results]
 
 
 class FactualExplainer:

@@ -10,7 +10,7 @@ is left exactly as in the original (q, G).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -112,7 +112,52 @@ def masked_inputs(
     coalition, so this path is hot (thousands of removals per explanation)
     and the overlay both avoids the deep copy and unlocks the delta-scoring
     path of :mod:`repro.search.engine` inside the probed ranker.
+
+    One sweep groups the removed skills by person and collects the removed
+    edges, and the overlay takes them in one
+    :meth:`~NetworkOverlay.remove_many` call.  A mask that masks an absent
+    or repeated feature, or a feature of unknown type, is replayed one
+    removal at a time, so it raises exactly the error that removal raises.
     """
+    q = query
+    skills: Dict[int, List[str]] = {}
+    edges: List[Tuple[int, int]] = []
+    for feat, keep in zip(features, np.asarray(mask, dtype=bool).tolist()):
+        if keep:
+            continue
+        if isinstance(feat, SkillAssignmentFeature):
+            held = skills.get(feat.person)
+            if held is None:
+                skills[feat.person] = [feat.skill]
+            else:
+                held.append(feat.skill)
+        elif isinstance(feat, EdgeFeature):
+            edges.append((feat.u, feat.v))
+        elif isinstance(feat, QueryTermFeature) and feat.term in q:
+            q = q - {feat.term}
+        else:
+            return _masked_inputs_stepwise(features, mask, query, network)
+    if not skills and not edges:
+        return network, q
+    net = NetworkOverlay(network)
+    try:
+        removed = net.remove_many(skills, edges)
+    except (IndexError, ValueError):
+        removed = False
+    if not removed:
+        return _masked_inputs_stepwise(features, mask, query, network)
+    return net, q
+
+
+def _masked_inputs_stepwise(
+    features: Sequence[Feature],
+    mask: np.ndarray,
+    query: Query,
+    network: CollaborationNetwork,
+) -> Tuple[CollaborationNetwork, Query]:
+    """:func:`masked_inputs` one removal call per masked-off feature, in
+    feature order — the reference its one-sweep build must match, and the
+    path that reports the first invalid feature of a mask."""
     off = [feat for feat, keep in zip(features, mask) if not keep]
     if not off:
         return network, query

@@ -105,19 +105,28 @@ class _CachingValueFunction:
         """Hand the not-yet-cached masks to the wrapped function's bulk
         path (when it has one), so a whole coalition sweep is evaluated
         through batched/multi-query probe flushes instead of one probe per
-        ``__call__``.  A no-op for plain value functions."""
+        ``__call__``.  A no-op for plain value functions.
+
+        A bulk path that returns one value per mask fills the memo (one
+        evaluation each), so the estimator's per-mask calls never reach
+        the wrapped function again; one that returns None (it evaluated
+        nothing) or raises leaves the memo untouched."""
         bulk = getattr(self._fn, "prefetch", None)
         if bulk is None:
             return
-        fresh = []
-        seen = set()
+        fresh: Dict[bytes, np.ndarray] = {}
         for mask in masks:
             key, arr = self._frozen(mask)
-            if key not in self._cache and key not in seen:
-                seen.add(key)
-                fresh.append(arr)
-        if fresh:
-            bulk(fresh)
+            if key not in self._cache and key not in fresh:
+                fresh[key] = arr
+        if not fresh:
+            return
+        values = bulk(list(fresh.values()))
+        if values is None:
+            return
+        for key, value in zip(fresh, values):
+            self._cache[key] = float(value)
+            self.n_evaluations += 1
 
 
 def _constrained_phi(
@@ -264,40 +273,64 @@ def _lasso_coordinate_descent(
     ``beta`` warm-starts the solve (used along the regularization path).
     Active-set strategy: after one full sweep, iterate only the non-zero
     coordinates until convergence, then re-check the full set once.
+
+    The per-coordinate scalars (soft threshold, step, running max) are
+    Python floats, which round exactly like numpy's float64 scalars; the
+    dot and the residual update stay numpy operations on the same strided
+    column views — a contiguous copy would take another BLAS path and
+    change the last bits of the solution.  A coordinate at zero whose
+    threshold keeps it at zero is a no-op, so it is skipped before any
+    arithmetic beyond its correlation.
     """
     n, m = design.shape
-    beta = np.zeros(m) if beta is None else beta.copy()
+    beta = [0.0] * m if beta is None else beta.tolist()
     wx = weights[:, None] * design
-    z = (wx * design).sum(axis=0)  # Σ w x_j²
-    residual = response - design @ beta
+    z = (wx * design).sum(axis=0).tolist()  # Σ w x_j²
+    residual = response - design @ np.asarray(beta, dtype=np.float64)
+    wx_cols = [wx[:, j] for j in range(m)]
+    x_cols = [design[:, j] for j in range(m)]
+    step = np.empty(n)
 
     def sweep(indices) -> float:
         max_delta = 0.0
         for j in indices:
-            if z[j] <= 0:
+            zj = z[j]
+            bj = beta[j]
+            rho = float(wx_cols[j] @ residual) + zj * bj
+            # new = sign(rho) * max(|rho| - alpha, 0) / z_j
+            shrunk = abs(rho) - alpha
+            if shrunk > 0.0:
+                new = (shrunk if rho > 0.0 else -shrunk) / zj
+            elif shrunk != shrunk:
+                new = shrunk  # nan propagates
+            elif bj == 0.0:
                 continue
-            rho = wx[:, j] @ residual + z[j] * beta[j]
-            new = np.sign(rho) * max(abs(rho) - alpha, 0.0) / z[j]
-            delta = new - beta[j]
+            else:
+                new = -0.0 if rho < 0.0 else 0.0
+            delta = new - bj
             if delta != 0.0:
-                residual[:] -= design[:, j] * delta
+                np.multiply(x_cols[j], delta, out=step)
+                np.subtract(residual, step, out=residual)
                 beta[j] = new
-                max_delta = max(max_delta, abs(delta))
+                delta = abs(delta)
+                if delta > max_delta:
+                    max_delta = delta
         return max_delta
 
-    all_indices = range(m)
+    # Coordinates with no weighted mass never move.
+    movable = [j for j in range(m) if not z[j] <= 0]
     # Active-set strategy: one full sweep to discover the support, then
     # iterate only the support to convergence; repeat a few times so newly
     # activated coordinates get their turn.  Bounded by 4 full passes.
     for _ in range(4):
-        full_delta = sweep(all_indices)
-        active = np.flatnonzero(beta)
+        full_delta = sweep(movable)
+        active = [j for j in movable if beta[j] != 0.0]
         for _ in range(max_iter):
             if sweep(active) < tol:
                 break
         if full_delta < tol:
             break
-    return beta
+    return np.asarray(beta, dtype=np.float64)
 
 
 def _select_support_aic(

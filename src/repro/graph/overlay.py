@@ -32,6 +32,16 @@ EdgeFlip = Tuple[str, int, int, bool]  # ("e", u, v, added)
 Flip = Tuple  # union of the two shapes above
 
 
+def _record_removals(flips: Dict, removed: List) -> None:
+    """Record removal flips for ``removed`` keys that each took effect:
+    one that undoes an earlier recorded add cancels it, the rest are
+    recorded as removals (``False``)."""
+    cancelled = flips.keys() & removed
+    flips.update(dict.fromkeys(removed, False))
+    for key in cancelled:
+        del flips[key]
+
+
 class NetworkOverlay:
     """A perturbed view of a frozen base :class:`CollaborationNetwork`."""
 
@@ -50,12 +60,15 @@ class NetworkOverlay:
                 p: set(a) for p, a in src._adj_touched.items()
             }
             self._n_edges = src._n_edges
+            # The same delta, so the same frozen flips (see flips()).
+            self._flips: Optional[FrozenSet[Flip]] = src._flips
         else:
             self._skill_flips = {}
             self._edge_flips = {}
             self._skills_touched = {}
             self._adj_touched = {}
             self._n_edges = base.n_edges
+            self._flips = None
         self._base = base
         self._base_version = base.version
         self._mat = None  # lazily materialized full CollaborationNetwork
@@ -74,14 +87,17 @@ class NetworkOverlay:
         return self._base_version
 
     def flips(self) -> FrozenSet[Flip]:
-        """The delta in canonical, hashable form (memoization key)."""
+        """The delta in canonical, hashable form (memoization key).
+
+        Frozen once and kept until the next mutation: the probe engine
+        asks for it at every memo lookup of the same state."""
         self._check_base()
-        out: Set[Flip] = set()
-        for (p, s), added in self._skill_flips.items():
-            out.add(("s", p, s, added))
-        for (u, v), added in self._edge_flips.items():
-            out.add(("e", u, v, added))
-        return frozenset(out)
+        if self._flips is None:
+            self._flips = frozenset(
+                [("s", p, s, added) for (p, s), added in self._skill_flips.items()]
+                + [("e", u, v, added) for (u, v), added in self._edge_flips.items()]
+            )
+        return self._flips
 
     def skill_flips(self) -> Dict[Tuple[int, str], bool]:
         """(person, skill) -> added?  (live view; do not mutate)."""
@@ -215,8 +231,52 @@ class NetworkOverlay:
             self._adj_touched[person] = own
         return own
 
+    def remove_many(
+        self, skills: Dict[int, List[str]], edges: List[Tuple[int, int]]
+    ) -> bool:
+        """Remove many skill assignments (``person -> skills``) and edges
+        in one pass — the bulk form of :meth:`remove_skill` and
+        :meth:`remove_edge` that SHAP coalitions are built with.
+
+        True when every removal took effect.  False when one was a no-op
+        (an absent or repeated skill or edge); the overlay is then left
+        part-edited and should be discarded.  Raises like the one-call
+        methods on out-of-range people and self loops."""
+        for person, names in skills.items():
+            self._check_person(person)
+            own = self._own_skills(person)
+            held = len(own)
+            own.difference_update(names)
+            if len(own) != held - len(names):
+                return False
+        ends: Dict[int, List[int]] = {}
+        for u, v in edges:
+            if u == v:
+                self._check_pair(u, v)  # raises
+            ends.setdefault(u, []).append(v)
+            ends.setdefault(v, []).append(u)
+        for person, others in ends.items():
+            self._check_person(person)
+            own = self._own_adj(person)
+            held = len(own)
+            own.difference_update(others)
+            if len(own) != held - len(others):
+                return False
+        self._n_edges -= len(edges)
+        self._mat = None
+        self._flips = None
+        _record_removals(
+            self._skill_flips,
+            [(person, skill) for person, names in skills.items() for skill in names],
+        )
+        _record_removals(
+            self._edge_flips, [(u, v) if u < v else (v, u) for u, v in edges]
+        )
+        return True
+
     def _flip_skill(self, person: int, skill: str, added: bool) -> None:
         self._mat = None
+        self._flips = None
         key = (person, skill)
         prior = self._skill_flips.get(key)
         if prior is not None and prior != added:
@@ -226,6 +286,7 @@ class NetworkOverlay:
 
     def _flip_edge(self, u: int, v: int, added: bool) -> None:
         self._mat = None
+        self._flips = None
         key = (min(u, v), max(u, v))
         prior = self._edge_flips.get(key)
         if prior is not None and prior != added:

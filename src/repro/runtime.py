@@ -313,12 +313,16 @@ def fault_injection(injector) -> Iterator[None]:
         _injector = previous
 
 
-def fault_point(site: str, key: tuple = (), engine=None) -> None:
+def fault_point(site: str, key=(), engine=None) -> None:
     """A named hook in the probe layer.  With no injector installed this
     is one global read.  An installed injector may raise (session
     errors, stale base versions), sleep (slow probes), or mutate the
     passed ``engine`` (memo evictions) — deterministically, keyed on
-    ``(site, key)`` so the same probe faults the same way every run."""
+    ``(site, key)`` so the same probe faults the same way every run.
+
+    ``key`` is the key tuple or a zero-argument function returning it;
+    a function is only called when an injector is installed, so a key
+    that is costly to build costs nothing outside chaos runs."""
     injector = _injector
     if injector is not None:
-        injector.fire(site, key, engine=engine)
+        injector.fire(site, key() if callable(key) else key, engine=engine)

@@ -20,8 +20,8 @@ probe.  This module makes probes O(Δ) for **all four shipped rankers**:
 
   - :class:`GcnDeltaSession` (alias ``ProbeSession``) — cached base feature
     matrix + the GCN propagation operator ``D^-1/2 (A+I) D^-1/2``; a skill
-    flip re-derives one feature row, an edge flip re-normalizes through a
-    sparse delta on the cached ``A+I``.
+    flip re-derives one feature row, an edge flip is spliced into the CSR
+    arrays of the cached ``A+I`` (:func:`_flip_csr`) and re-normalized.
   - :class:`PageRankDeltaSession` — cached transition operator (adjacency +
     out-degrees) and, per query, the restart counts and base solution; a
     probe patches the restart vector / degrees in O(Δ) and warm-starts
@@ -237,49 +237,92 @@ def _normalize(a_hat: sp.csr_matrix, deg: np.ndarray) -> sp.csr_matrix:
     )
 
 
-def _edge_flip_delta(
-    edge_flips: Dict[Tuple[int, int], bool], n: int
+def _csr_keys(adj: sp.csr_matrix) -> np.ndarray:
+    """``row * n + col`` of every stored entry of a canonical CSR (sorted
+    indices, no duplicates), so the keys ascend and ``searchsorted`` finds
+    an entry's position."""
+    n_rows, n_cols = adj.shape
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(adj.indptr))
+    return rows * n_cols + adj.indices
+
+
+def _flip_csr(
+    adj: sp.csr_matrix,
+    keys: np.ndarray,
+    edge_flips: Dict[Tuple[int, int], bool],
 ) -> sp.csr_matrix:
-    """Symmetric ±1 sparse delta matrix for a set of edge flips."""
-    rows: List[int] = []
-    cols: List[int] = []
-    data: List[float] = []
-    for (u, v), added in edge_flips.items():
-        w = 1.0 if added else -1.0
-        rows.extend((u, v))
-        cols.extend((v, u))
-        data.extend((w, w))
-    return sp.csr_matrix(
-        (np.asarray(data), (rows, cols)), shape=(n, n), dtype=np.float64
+    """The canonical CSR ``adj`` plus a ±1 at both ``(u, v)`` and
+    ``(v, u)`` of every flipped edge (+1 added, −1 removed), built on the
+    CSR arrays: ``keys`` is :func:`_csr_keys` of ``adj``.
+
+    Bit for bit the matrix scipy's ``adj + delta`` gives for the symmetric
+    ±1 ``delta``: a flipped entry that exists gets the same single float
+    add, one that sums to zero is dropped, a new one is inserted in key
+    order, and the row pointers follow the per-row counts.  The result is
+    canonical too — sorted, no stored zeros, the layout a from-scratch
+    build of the flipped graph has — so every spmv/spmm over it, and
+    every walk over its ``indptr``/``indices`` (the HITS support patch),
+    matches a rebuilt adjacency exactly.  Flip keys are distinct
+    off-diagonal pairs, as overlays and committed deltas record them.
+    Only the flipped positions are visited in Python; the unchanged runs
+    between them are copied as array slices."""
+    n = adj.shape[1]
+    flips = sorted(
+        [(u * n + v, added) for (u, v), added in edge_flips.items()]
+        + [(v * n + u, added) for (u, v), added in edge_flips.items()]
     )
+    flip_keys = np.array([key for key, _ in flips], dtype=np.int64)
+    pos = keys.searchsorted(flip_keys)
+    if keys.size:
+        found = (keys.take(pos, mode="clip") == flip_keys).tolist()
+        stored = adj.data.take(pos, mode="clip").tolist()
+    else:
+        found = stored = [False] * len(flips)
+    indices, data = adj.indices, adj.data
+    counts = np.diff(adj.indptr)
+    index_parts: List = []
+    value_parts: List = []
+    start = 0
+    for (key, added), p, hit, value in zip(flips, pos.tolist(), found, stored):
+        index_parts.append(indices[start:p])
+        value_parts.append(data[start:p])
+        row, col = divmod(key, n)
+        if hit:
+            start = p + 1
+            value += 1.0 if added else -1.0
+            if value == 0.0:
+                counts[row] -= 1
+                continue
+        else:
+            start = p
+            value = 1.0 if added else -1.0
+            counts[row] += 1
+        index_parts.append((col,))
+        value_parts.append((value,))
+    index_parts.append(indices[start:])
+    value_parts.append(data[start:])
+    indptr = np.zeros_like(adj.indptr)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_matrix(
+        (
+            np.concatenate(value_parts),
+            np.concatenate(index_parts, dtype=indices.dtype, casting="same_kind"),
+            indptr,
+        ),
+        shape=adj.shape,
+    )
+
+
+def _committed_flips(delta) -> Dict[Tuple[int, int], bool]:
+    """A committed :class:`~repro.graph.network.BaseDelta`'s edge flips in
+    the ``(u, v) -> added`` form overlays record them in."""
+    return {(u, v): added for u, v, added in delta.edge_flips}
 
 
 def _edge_key(edge_flips: Dict[Tuple[int, int], bool]) -> FrozenSet:
     """Hashable identity of an overlay's edge-flip set — the cache key for
     every adjacency-side patch a session computes."""
     return frozenset(edge_flips.items())
-
-
-def _committed_csr(
-    adj: sp.csr_matrix,
-    edge_flips: Sequence[Tuple[int, int, bool]],
-    n: int,
-) -> sp.csr_matrix:
-    """``adj`` with a committed delta's edge flips applied, canonicalized
-    to the exact CSR a fresh from-scratch build would produce.
-
-    A removal leaves an explicit stored ``0.0`` (the ``1.0 - 1.0`` is
-    exact); ``eliminate_zeros`` drops it and ``sort_indices`` restores the
-    canonical layout, so code that walks ``indptr``/``indices`` directly
-    (the HITS support patch) and every spmv/spmm accumulate over the same
-    structure — and thus bit-identically — as a rebuilt adjacency."""
-    delta = _edge_flip_delta(
-        {(u, v): added for u, v, added in edge_flips}, n
-    )
-    patched = (adj + delta).tocsr()
-    patched.eliminate_zeros()
-    patched.sort_indices()
-    return patched
 
 
 class DeltaSession(abc.ABC):
@@ -305,6 +348,19 @@ class DeltaSession(abc.ABC):
         # cost hints) stay stable for its whole lifetime even if the
         # process-wide backend is swapped mid-run.
         self.backend = get_backend()
+        # (matrix, its _csr_keys) of the last CSR edge flips were applied to
+        self._flip_keys: Optional[Tuple[sp.csr_matrix, np.ndarray]] = None
+
+    def _flipped_csr(
+        self, adj: sp.csr_matrix, edge_flips: Dict[Tuple[int, int], bool]
+    ) -> sp.csr_matrix:
+        """``adj`` with ``edge_flips`` applied (:func:`_flip_csr`).  The
+        position keys are kept per matrix object, so a rebase that swaps
+        in a new base matrix gets fresh keys on its next flip."""
+        cached = self._flip_keys
+        if cached is None or cached[0] is not adj:
+            cached = self._flip_keys = (adj, _csr_keys(adj))
+        return _flip_csr(adj, cached[1], edge_flips)
 
     def valid_for(self, base: CollaborationNetwork) -> bool:
         """Is this session still usable for ``base``?  False once the base
@@ -534,9 +590,8 @@ class GcnDeltaSession(DeltaSession):
         if delta.is_empty:
             self._accept_rebase(delta)
             return True
-        n = self.base.n_people
         if delta.edge_flips:
-            self._a_hat = _committed_csr(self._a_hat, delta.edge_flips, n)
+            self._a_hat = self._flipped_csr(self._a_hat, _committed_flips(delta))
             for u, v, added in delta.edge_flips:
                 w = 1.0 if added else -1.0
                 self._deg[u] += w
@@ -918,26 +973,20 @@ class GcnDeltaSession(DeltaSession):
         feature row, derived from their full skill set.
 
         The one kernel both probe patches and base-commit refreshes go
-        through: the row is recomputed via the same sparse product (sorted
-        indices, identical accumulation order) that built the base sums,
-        instead of adding/subtracting embedding rows on a cached sum —
-        incremental subtraction leaves ~1e-16 residue that the
-        ``max(norm, 1e-12)`` division below can amplify past the 1e-9
-        parity contract when a person's in-vocab skills all cancel."""
-        dim = self._fm.shape[1]
+        through: the row is recomputed from the person's embedding rows in
+        sorted column order, summed from +0.0 one row after another —
+        bit for bit the accumulation of the sparse incidence product that
+        built the base sums — instead of adding/subtracting embedding rows
+        on a cached sum: incremental subtraction leaves ~1e-16 residue
+        that the ``max(norm, 1e-12)`` division below can amplify past the
+        1e-9 parity contract when a person's in-vocab skills all cancel."""
         cols = sorted(
             col for col in (self._vocab.get(s) for s in skills) if col is not None
         )
         if cols:
-            row = sp.csr_matrix(
-                (np.ones(len(cols)), ([0] * len(cols), cols)),
-                shape=(1, self._fm.shape[0]),
-            )
-            centroid = self.backend.spmm(row, self._fm).ravel() / max(
-                float(len(cols)), 1.0
-            )
+            centroid = np.add.reduce(self._fm[cols], axis=0) / float(len(cols))
         else:
-            centroid = np.zeros(dim)
+            centroid = np.zeros(self._fm.shape[1])
         n_terms = len(query)
         # Empty queries keep a zero match fraction, matching the plain
         # path's ``if query:`` guard in ``_node_features``.
@@ -973,14 +1022,12 @@ class GcnDeltaSession(DeltaSession):
         hit = self._adj_cache.get(key)
         if hit is not None:
             return hit
-        n = self.base.n_people
         deg = self._deg.copy()
         for (u, v), added in edge_flips.items():
             w = 1.0 if added else -1.0
             deg[u] += w
             deg[v] += w
-        delta = _edge_flip_delta(edge_flips, n)
-        patched = _normalize(self._a_hat + delta, deg)
+        patched = _normalize(self._flipped_csr(self._a_hat, edge_flips), deg)
         self._adj_cache.put(key, patched)
         return patched
 
@@ -1040,7 +1087,7 @@ class PageRankDeltaSession(DeltaSession):
             if changed & query:
                 self._query_cache.pop(query)
         if delta.edge_flips:
-            adj = _committed_csr(self._adj, delta.edge_flips, self.base.n_people)
+            adj = self._flipped_csr(self._adj, _committed_flips(delta))
             out_degree = self._out_degree.copy()
             for u, v, added in delta.edge_flips:
                 w = 1.0 if added else -1.0
@@ -1077,8 +1124,7 @@ class PageRankDeltaSession(DeltaSession):
         key = _edge_key(edge_flips)
         hit = self._op_cache.get(key)
         if hit is None:
-            n = self.base.n_people
-            adj = (self._adj + _edge_flip_delta(edge_flips, n)).tocsr()
+            adj = self._flipped_csr(self._adj, edge_flips)
             out_degree = self._out_degree.copy()
             for (u, v), added in edge_flips.items():
                 w = 1.0 if added else -1.0
@@ -1507,9 +1553,7 @@ class HitsDeltaSession(DeltaSession):
                     support[u] += w * ind[v]
                     support[v] += w * ind[u]
                 self._query_cache.put(query, (ind, support, match_counts))
-            self._adj = _committed_csr(
-                self._adj, delta.edge_flips, self.base.n_people
-            )
+            self._adj = self._flipped_csr(self._adj, _committed_flips(delta))
             # Probe-side adjacency patches and authority runs were keyed
             # by flip sets over the old adjacency — stale.
             self._adj_cache.clear()
@@ -1536,8 +1580,7 @@ class HitsDeltaSession(DeltaSession):
         key = _edge_key(edge_flips)
         hit = self._adj_cache.get(key)
         if hit is None:
-            n = self.base.n_people
-            hit = (self._adj + _edge_flip_delta(edge_flips, n)).tocsr()
+            hit = self._flipped_csr(self._adj, edge_flips)
             self._adj_cache.put(key, hit)
         return hit
 
@@ -2146,7 +2189,7 @@ class ProbeEngine:
             check_budget(1)
             fault_point(
                 "session.scores",
-                key=_fault_key(query, overlay.flips()),
+                key=lambda: _fault_key(query, overlay.flips()),
                 engine=self,
             )
             scores, plan = session.scores_localized(query, overlay, spec)
@@ -2162,7 +2205,9 @@ class ProbeEngine:
             return None
         check_budget(1)
         fault_point(
-            "session.scores", key=_fault_key(query, overlay.flips()), engine=self
+            "session.scores",
+            key=lambda: _fault_key(query, overlay.flips()),
+            engine=self,
         )
         scores = session.scores(query, overlay)
         self._score_memo.put(skey, scores)
@@ -2243,7 +2288,9 @@ class ProbeEngine:
             overlay = self._overlay_for(items[0][3])
             qlist = list(queries)
             check_budget(len(qlist))
-            fault_point("session.scores", key=_fault_key(qlist, flips), engine=self)
+            fault_point(
+                "session.scores", key=lambda: _fault_key(qlist, flips), engine=self
+            )
             score_list = self._flush_multi(session, overlay, qlist)
             for query, scores in zip(qlist, score_list):
                 if self.memoize:
@@ -2264,7 +2311,7 @@ class ProbeEngine:
                 ]
                 fault_point(
                     "session.scores",
-                    key=_fault_key(
+                    key=lambda: _fault_key(
                         query,
                         [f for ov in chunk_overlays for f in ov.flips()],
                     ),

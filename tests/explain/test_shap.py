@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.explain import ShapExplainer, exact_shap, kernel_shap
+from repro.runtime import BudgetExceeded
 
 
 def linear_fn(coef):
@@ -239,3 +240,188 @@ class TestCachingValueFunctionIsolation:
         f(np.array([True, True]))
         f.prefetch([np.array([True, True]), np.array([False, True])])
         assert bulk.bulk_calls == [1]  # only the uncached mask went through
+
+
+class _Counted:
+    """A value function counting per-mask calls; with ``bulk`` it gets a
+    ``prefetch`` that answers whole mask sweeps (optionally tripping the
+    request budget once it has computed them)."""
+
+    def __init__(self, fn, bulk=False, trip=False):
+        self.fn = fn
+        self.calls = 0
+        self.swept = 0
+        if bulk:
+            self.prefetch = self._prefetch
+        self.trip = trip
+
+    def __call__(self, mask):
+        self.calls += 1
+        return self.fn(mask)
+
+    def _prefetch(self, masks):
+        values = [self.fn(mask) for mask in masks]
+        self.swept += len(values)
+        if self.trip:
+            raise BudgetExceeded("probe_budget")
+        return values
+
+
+def _interaction(mask):
+    return float(mask[0] and mask[1]) + 0.5 * mask[2] - 0.25 * mask[3] * mask[4]
+
+
+def _same_result(a, b):
+    assert a.values.tobytes() == b.values.tobytes()
+    assert (a.base_value, a.full_value, a.n_evaluations, a.method) == (
+        b.base_value,
+        b.full_value,
+        b.n_evaluations,
+        b.method,
+    )
+    assert a.truncated_reason == b.truncated_reason
+
+
+class TestPrefetchFill:
+    """A bulk ``prefetch`` that returns the sweep's values fills the SHAP
+    memo: the estimator then makes no per-mask calls beyond the two
+    anchors, and returns exactly what per-mask evaluation returns."""
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda fn: exact_shap(fn, 6),
+            lambda fn: kernel_shap(fn, 12, n_samples=64, seed=3),
+            lambda fn: kernel_shap(fn, 12, n_samples=64, seed=3, l1_regularization=None),
+        ],
+        ids=["exact", "kernel-auto-l1", "kernel-dense"],
+    )
+    def test_filled_memo_skips_per_mask_calls(self, estimate):
+        bulk = _Counted(_interaction, bulk=True)
+        plain = _Counted(_interaction)
+        filled, reference = estimate(bulk), estimate(plain)
+        assert bulk.calls == 2  # f(∅) and f(full), before the sweep
+        assert bulk.swept == filled.n_evaluations - 2
+        assert plain.calls == reference.n_evaluations
+        _same_result(filled, reference)
+
+    @pytest.mark.parametrize("kernel", [False, True], ids=["exact", "kernel"])
+    def test_budget_trip_in_prefetch_stores_nothing(self, kernel):
+        """A sweep that trips the budget leaves only the anchors in the
+        memo, as a bulk path that returns nothing does."""
+        def estimate(fn):
+            if kernel:
+                return kernel_shap(fn, 8, n_samples=40, seed=1)
+            return exact_shap(fn, 6)
+
+        def trip_at_once(masks):
+            raise BudgetExceeded("probe_budget")
+
+        tripped = estimate(_Counted(_interaction, bulk=True, trip=True))
+        silent = _Counted(_interaction)
+        silent.prefetch = trip_at_once
+        _same_result(tripped, estimate(silent))
+        assert tripped.method.endswith("-partial") and tripped.n_evaluations == 2
+
+    def test_factual_explain_probes_the_same(self, small_gcn_ranker, small_dataset, small_query):
+        """Filling the memo from the probe batch changes no explanation
+        and no engine evaluation count — only the duplicate memo hits of
+        the per-mask replay disappear."""
+        from repro.explain import FactualConfig, FactualExplainer, RelevanceTarget
+        from repro.explain import factual
+        from repro.search import ProbeEngine
+
+        net = small_dataset.network
+        query = frozenset(small_query)
+        person = small_gcn_ranker.rank(query, net)[3]
+
+        def explain():
+            target = RelevanceTarget(small_gcn_ranker, k=5)
+            engine = ProbeEngine(target, net)
+            config = FactualConfig(n_samples=48, max_samples=96, selection_samples=24)
+            explainer = FactualExplainer(target, config, engine=engine)
+            out = [
+                explainer.explain_skills(person, query, net),
+                explainer.explain_collaborations(person, query, net),
+                explainer.explain_query(person, query, net),
+            ]
+            return out, engine
+
+        filled, filled_engine = explain()
+        original = factual._SharedMaskValueFunction.prefetch
+
+        def prefetch_only(self, masks):
+            original(self, masks)  # memos warmed, values dropped
+
+        factual._SharedMaskValueFunction.prefetch = prefetch_only
+        try:
+            replayed, replayed_engine = explain()
+        finally:
+            factual._SharedMaskValueFunction.prefetch = original
+        for a, b in zip(filled, replayed):
+            assert [(x.feature, x.value) for x in a.attributions] == [
+                (x.feature, x.value) for x in b.attributions
+            ]
+            assert (a.base_value, a.full_value, a.n_evaluations, a.method) == (
+                b.base_value,
+                b.full_value,
+                b.n_evaluations,
+                b.method,
+            )
+        assert filled_engine.misses == replayed_engine.misses
+        assert filled_engine.score_hits == replayed_engine.score_hits
+        assert filled_engine.hits < replayed_engine.hits
+
+
+def _reference_lasso(design, response, weights, alpha, beta=None, max_iter=60, tol=1e-7):
+    """The coordinate descent with numpy scalars throughout — the loop
+    ``_lasso_coordinate_descent`` must reproduce bit for bit."""
+    n, m = design.shape
+    beta = np.zeros(m) if beta is None else beta.copy()
+    wx = weights[:, None] * design
+    z = (wx * design).sum(axis=0)
+    residual = response - design @ beta
+
+    def sweep(indices):
+        max_delta = 0.0
+        for j in indices:
+            if z[j] <= 0:
+                continue
+            rho = wx[:, j] @ residual + z[j] * beta[j]
+            new = np.sign(rho) * max(abs(rho) - alpha, 0.0) / z[j]
+            delta = new - beta[j]
+            if delta != 0.0:
+                residual[:] -= design[:, j] * delta
+                beta[j] = new
+                max_delta = max(max_delta, abs(delta))
+        return max_delta
+
+    for _ in range(4):
+        full_delta = sweep(range(m))
+        active = np.flatnonzero(beta)
+        for _ in range(max_iter):
+            if sweep(active) < tol:
+                break
+        if full_delta < tol:
+            break
+    return beta
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lasso_matches_reference_bitwise(seed):
+    """Along a warm-started regularization path, as the AIC support
+    selection walks it, on coalition-shaped 0/1 designs."""
+    from repro.explain.shap import _lasso_coordinate_descent
+
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(20, 120)), int(rng.integers(5, 60))
+    design = (rng.random((n, m)) < 0.5).astype(float)
+    design[:, int(rng.integers(0, m))] = 0.0  # a coordinate with no mass
+    weights = rng.random(n)
+    response = (rng.random(n) < 0.5) - 0.5 + design[:, :3].sum(axis=1) * 0.1
+    alpha_max = float(np.abs((weights[:, None] * design).T @ response).max())
+    got = want = None
+    for factor in (0.25, 0.1, 0.05, 0.02, 0.01, 0.003):
+        got = _lasso_coordinate_descent(design, response, weights, alpha_max * factor, beta=got)
+        want = _reference_lasso(design, response, weights, alpha_max * factor, beta=want)
+        assert got.tobytes() == want.tobytes()

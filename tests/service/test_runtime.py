@@ -470,3 +470,73 @@ class TestFaultPoint:
             with pytest.raises(InjectedSessionError):
                 fault_point("session.scores", key=(("q",),))
         fault_point("session.scores", key=(("q",),))  # uninstalled again
+
+    def test_key_function_runs_only_under_an_injector(self):
+        built = []
+
+        def key():
+            built.append(1)
+            return (("q",),)
+
+        fault_point("session.scores", key=key)
+        assert built == []
+        plan = FaultPlan(session_error_rate=0.5)
+        fired = {}
+        for label, arg in (("function", key), ("tuple", (("q",),))):
+            with fault_injection(FaultInjector(plan, seed=4)):
+                try:
+                    fault_point("session.scores", key=arg)
+                    fired[label] = False
+                except InjectedSessionError:
+                    fired[label] = True
+        assert built == [1]
+        assert fired["function"] == fired["tuple"]  # the same key either way
+
+    @staticmethod
+    def _factual_explains():
+        from repro.datasets import toy_network
+        from repro.explain import FactualConfig, FactualExplainer, RelevanceTarget
+        from repro.search import PageRankExpertRanker, ProbeEngine
+
+        net = toy_network(n_people=14, seed=2)
+        ranker = PageRankExpertRanker()
+        query = frozenset(sorted(net.skill_universe())[:3])
+        person = ranker.rank(query, net)[2]
+        target = RelevanceTarget(ranker, k=4)
+        explainer = FactualExplainer(
+            target, FactualConfig(n_samples=32, max_samples=64), engine=ProbeEngine(target, net)
+        )
+        for explain in (
+            explainer.explain_skills,
+            explainer.explain_collaborations,
+            explainer.explain_query,
+        ):
+            explain(person, query, net)
+
+    def test_no_fault_keys_without_an_injector(self, monkeypatch):
+        """Outside chaos runs the probe engine's flush keys — a sorted
+        ``repr`` of every flip — are never built."""
+        import repro.search.engine as engine_module
+
+        def refuse(*args):
+            raise AssertionError("fault key built with no injector installed")
+
+        monkeypatch.setattr(engine_module, "_fault_key", refuse)
+        self._factual_explains()
+
+    def test_injector_receives_built_keys(self):
+        class Recorder:
+            def __init__(self):
+                self.keys = []
+
+            def fire(self, site, key, engine=None):
+                self.keys.append(key)
+
+        recorder = Recorder()
+        with fault_injection(recorder):
+            self._factual_explains()
+        assert recorder.keys
+        for key in recorder.keys:
+            query_part, flips_part = key
+            assert isinstance(query_part, tuple) and isinstance(flips_part, tuple)
+            assert all(isinstance(flip, str) for flip in flips_part)
