@@ -69,11 +69,16 @@ class NumpyBackend(NumericBackend):
         inv_deg = np.divide(
             1.0, out_degree, out=np.zeros_like(out_degree), where=out_degree > 0
         )
+        # Built once per call: each iteration would build an equal
+        # transpose and run the same scipy kernel on it, so every iterate
+        # is unchanged.
+        adj_t = adj.T
+        dangling_mask = out_degree == 0
         scores = (restart if warm_start is None else warm_start).copy()
         converged = False
         for _ in range(max_iterations):
-            spread = adj.T @ (scores * inv_deg)
-            dangling = scores[out_degree == 0].sum()
+            spread = adj_t @ (scores * inv_deg)
+            dangling = scores[dangling_mask].sum()
             new = (1 - damping) * restart + damping * (
                 spread + dangling * restart
             )
@@ -104,13 +109,14 @@ class NumpyBackend(NumericBackend):
             1.0, out_degree, out=np.zeros_like(out_degree), where=out_degree > 0
         )
         dangling_mask = out_degree == 0
+        adj_t = adj.T
         scores = (restarts if starts is None else starts).copy()
         solutions = np.empty((n, k))
         converged = np.zeros(k, dtype=bool)
         active = np.arange(k)
         active_restarts = restarts.copy()
         for _ in range(max_iterations):
-            spread = adj.T @ (scores * inv_deg[:, None])
+            spread = adj_t @ (scores * inv_deg[:, None])
             dangling = scores[dangling_mask].sum(axis=0)
             new = (1 - damping) * active_restarts + damping * (
                 spread + dangling[None, :] * active_restarts

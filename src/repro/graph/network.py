@@ -47,6 +47,9 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+_NO_PEOPLE = np.empty(0, dtype=np.int64)
+_NO_PEOPLE.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class BaseDelta:
@@ -469,27 +472,41 @@ class CollaborationNetwork:
         result is bit-identical to the per-person loop it replaces.
         """
         out = np.zeros(self.n_people)
+        for term in query:
+            out[self._skill_holders(term)] += 1.0
+        return out
+
+    def term_incidence(self, terms: Sequence[str]) -> np.ndarray:
+        """``(n_people, len(terms))`` bool: does person ``p`` hold
+        ``terms[j]``?  Built from the same cached incidence columns as
+        :meth:`match_counts` — the greedy team former's per-formation
+        cover table."""
+        out = np.zeros((self.n_people, len(terms)), dtype=bool)
+        for j, term in enumerate(terms):
+            out[self._skill_holders(term), j] = True
+        return out
+
+    def _skill_holders(self, skill: str) -> np.ndarray:
+        """The ids of everyone holding ``skill``: one column of the
+        version-cached skill incidence (compact or set mode), empty when
+        nobody holds it."""
         if self.is_compact:
-            lookup = self._vocab_lookup()
+            sid = self._vocab_lookup().get(skill)
+            if sid is None:
+                return _NO_PEOPLE
             uniq, indptr, people = self._skill_csc_compact()
-            for term in query:
-                sid = lookup.get(term)
-                if sid is None:
-                    continue
-                j = np.searchsorted(uniq, sid)
-                if j < len(uniq) and uniq[j] == sid:
-                    out[people[indptr[j] : indptr[j + 1]]] += 1.0
-            return out
+            j = np.searchsorted(uniq, sid)
+            if j < len(uniq) and uniq[j] == sid:
+                return people[indptr[j] : indptr[j + 1]]
+            return _NO_PEOPLE
         csc = self._cache_get("skill_csc")
         if csc is None:
             csc = self.skill_matrix().tocsc()
             self._cache_put("skill_csc", csc)
-        vocab_index = self.skill_vocabulary_index()
-        for term in query:
-            col = vocab_index.get(term)
-            if col is not None:
-                out[csc.indices[csc.indptr[col] : csc.indptr[col + 1]]] += 1.0
-        return out
+        col = self.skill_vocabulary_index().get(skill)
+        if col is None:
+            return _NO_PEOPLE
+        return csc.indices[csc.indptr[col] : csc.indptr[col + 1]]
 
     def _vocab_lookup(self) -> Dict[str, int]:
         """Compact mode: skill name -> id into ``_skill_vocab``."""

@@ -25,7 +25,7 @@ overlay records the base version at creation and raises if it drifts.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 SkillFlip = Tuple[str, int, str, bool]  # ("s", person, skill, added)
 EdgeFlip = Tuple[str, int, int, bool]  # ("e", u, v, added)
@@ -371,6 +371,17 @@ class NetworkOverlay:
         if not add and not rem:
             return base_set
         return frozenset((set(base_set) | add) - rem)
+
+    def term_incidence(self, terms: Sequence[str]):
+        """The base's ``(n_people, len(terms))`` term table with this
+        overlay's flips of those terms applied, O(Δ) past the base."""
+        column = {term: j for j, term in enumerate(terms)}
+        holds = self._base.term_incidence(terms)
+        for (p, s), added in self.skill_flips().items():
+            j = column.get(s)
+            if j is not None:
+                holds[p, j] = added
+        return holds
 
     def skill_universe(self) -> FrozenSet[str]:
         self._check_base()

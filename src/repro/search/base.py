@@ -17,7 +17,7 @@ single scoring pass.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -28,32 +28,67 @@ from repro.graph.perturbations import Query, as_query
 from repro.runtime import delta_bypassed
 
 
-@dataclass
 class RankedResults:
-    """The outcome of scoring one query against one network."""
+    """The outcome of scoring one query against one network.
 
-    scores: np.ndarray  # score per person id
-    order: np.ndarray  # person ids, best first
-    ranks: np.ndarray = field(init=False)  # 1-based rank per person id
+    Only ``scores`` is held up front.  ``order`` (person ids, best first)
+    and ``ranks`` (1-based rank per person id) are sorted out on first
+    access; until then :meth:`rank_of` counts, in O(n), the people the
+    canonical ordering puts ahead — a probe reads one rank and never
+    pays for the sort.
+    """
 
-    def __post_init__(self) -> None:
-        ranks = np.empty(len(self.order), dtype=np.int64)
-        ranks[self.order] = np.arange(1, len(self.order) + 1)
-        self.ranks = ranks
+    __slots__ = ("scores", "_order", "_ranks")
+
+    def __init__(self, scores: np.ndarray) -> None:
+        self.scores = scores  # score per person id
+        self._order: Optional[np.ndarray] = None
+        self._ranks: Optional[np.ndarray] = None
 
     @classmethod
     def from_scores(cls, scores: np.ndarray) -> "RankedResults":
         """Rank a precomputed score vector with the canonical deterministic
-        ordering (score descending, then id ascending) — the single source
-        of truth shared by :meth:`ExpertSearchSystem.evaluate` and the
-        batched probe path, so both rank identically."""
-        raw = np.asarray(scores, dtype=np.float64)
-        order = np.lexsort((np.arange(len(raw)), -raw))
-        return cls(scores=raw, order=order)
+        ordering (score descending, then id ascending, NaN last) — the
+        single source of truth shared by :meth:`ExpertSearchSystem.evaluate`
+        and the batched probe path, so both rank identically."""
+        return cls(np.asarray(scores, dtype=np.float64))
+
+    @property
+    def order(self) -> np.ndarray:
+        """Person ids, best first."""
+        if self._order is None:
+            raw = self.scores
+            self._order = np.lexsort((np.arange(len(raw)), -raw))
+        return self._order
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """1-based rank per person id."""
+        if self._ranks is None:
+            order = self.order
+            ranks = np.empty(len(order), dtype=np.int64)
+            ranks[order] = np.arange(1, len(order) + 1)
+            self._ranks = ranks
+        return self._ranks
 
     def rank_of(self, person: int) -> int:
-        """1-based rank of ``person`` (1 = best)."""
-        return int(self.ranks[person])
+        """1-based rank of ``person`` (1 = best): one plus the people with
+        a higher score, plus the lower ids with an equal one — the
+        position :attr:`order` gives, without sorting.  NaN scores sort
+        after every number, among themselves by id."""
+        raw = self.scores
+        score = raw[person]
+        if person < 0:
+            person += len(raw)
+        if score != score:
+            nan = np.isnan(raw)
+            ahead = len(raw) - np.count_nonzero(nan)
+            return int(1 + ahead + np.count_nonzero(nan[:person]))
+        return int(
+            1
+            + np.count_nonzero(raw > score)
+            + np.count_nonzero(raw[:person] == score)
+        )
 
     def top_k(self, k: int) -> List[int]:
         """The top-k person ids, best first."""

@@ -28,8 +28,8 @@ anything routed through ``ExES.probe_engine(team=True)``.
   with zero formation work;
 * **delta re-formation** — any other probe re-runs the same greedy core
   (:meth:`CoverTeamFormer._form_impl`) directly on the overlay with
-  delta-session ranker scores: still no ``materialize()``, just the O(team)
-  greedy loop.
+  delta-session ranker scores: still no ``materialize()``, just the
+  array-level greedy over one term table built O(Δ) past the base's.
 
 How often tier 1 fires depends on the ranker.  The witness-score check is
 *bit-exact* (anything looser could fast-path past a tie the re-formed run
@@ -274,8 +274,9 @@ class CoverTeamDeltaSession(TeamDeltaSession):
         """Can no flip in ``overlay`` change any comparison the base run
         made?  Every check is conservative: a False answer merely re-forms.
 
-        The greedy reads exactly (a) ``skills(p) ∩ query`` for the seed,
-        every frontier person, and the final members, (b) ``neighbors(m)``
+        The greedy's choices depend on exactly (a) ``skills(p) ∩ query``
+        for the seed, every frontier person, and the final members (its
+        term table's other rows are never compared), (b) ``neighbors(m)``
         for members, and (c) ``scores[p]`` for the seed choice and every
         frontier person.  So the cached team is reusable iff:
         """

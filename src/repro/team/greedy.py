@@ -14,23 +14,24 @@ that must recruit a broker to reach the missing skill — up to ``max_size``.
 
 Every choice the greedy makes is pinned deterministic — seed selection by
 (score desc, id asc), cover selection by (cover count desc, score desc,
-id asc), connector selection by (score desc, id asc) — so two runs fed the
-same scores produce the same team member-for-member.  That determinism is
-what lets :class:`~repro.team.engine.CoverTeamDeltaSession` answer
-membership probes from the cached base run whenever a perturbation provably
-cannot change any of those comparisons.
+id asc), connector selection by (score desc, id asc), NaN scores below
+every other score — so two runs fed the same scores produce the same team
+member-for-member.  That determinism is what lets
+:class:`~repro.team.engine.CoverTeamDeltaSession` answer membership probes
+from the cached base run whenever a perturbation provably cannot change any
+of those comparisons.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set
 
 import numpy as np
 
 from repro.graph.network import CollaborationNetwork
 from repro.graph.perturbations import as_query
 from repro.search.base import ExpertSearchSystem
-from repro.team.base import Team, TeamFormationSystem, coverage_split
+from repro.team.base import Team, TeamFormationSystem
 
 
 class CoverTeamFormer(TeamFormationSystem):
@@ -83,6 +84,16 @@ class CoverTeamFormer(TeamFormationSystem):
         the delta session's base/re-formation runs, so the two can never
         drift apart.
 
+        Array-level: one ``(n_people, |q|)`` term table per run
+        (:meth:`~repro.graph.network.CollaborationNetwork.term_incidence`,
+        overlay flips applied O(Δ)), ``uncovered`` as a column mask, and
+        the frontier kept incrementally as a person mask.  Each step
+        gathers the frontier's rows once and takes the first entry of one
+        ``np.lexsort`` on (cover count desc, score desc, id asc): the best
+        cover, or — when it covers nothing — the best connector.  NaN
+        scores rank below every other score at equal cover count, as in
+        :meth:`_seed_choice`.
+
         ``witness``, when given, collects every person whose skills or
         score the run consulted (the seed, every frontier examined, and
         thus every member): the exact support set a perturbation must miss
@@ -91,44 +102,52 @@ class CoverTeamFormer(TeamFormationSystem):
         if scores is None:
             scores = self.ranker.scores(query, network)
         scores = np.asarray(scores, dtype=np.float64)
+        n = network.n_people
         if seed_member is None:
             seed_member = self._seed_choice(scores)
+        elif not 0 <= seed_member < n:
+            raise IndexError(f"person id {seed_member} out of range [0, {n})")
 
-        members: Set[int] = {seed_member}
+        terms = sorted(query)
+        holds = network.term_incidence(terms)
+        uncovered = ~holds[seed_member]
         build_order: List[int] = [seed_member]
-        uncovered: Set[str] = set(query - network.skills(seed_member))
+        in_team = np.zeros(n, dtype=bool)
+        frontier = np.zeros(n, dtype=bool)
+        person = seed_member
         connectors_used = 0
         if witness is not None:
             witness.add(seed_member)
 
-        while uncovered and len(members) < self.max_size:
-            frontier = self._frontier(network, members)
+        while uncovered.any() and len(build_order) < self.max_size:
+            # The newest member joins the team, their neighbours the frontier.
+            in_team[person] = True
+            frontier[person] = False
+            nbrs = np.fromiter(network.neighbors(person), dtype=np.intp)
+            frontier[nbrs[~in_team[nbrs]]] = True
+            candidates = frontier.nonzero()[0]
             if witness is not None:
-                witness |= frontier
-            if not frontier:
+                witness.update(candidates.tolist())
+            if not candidates.size:
                 break
-            best = self._best_cover(frontier, uncovered, scores, network)
-            if best is not None:
-                person, newly_covered = best
-                members.add(person)
-                build_order.append(person)
-                uncovered -= newly_covered
-                continue
-            # Nobody adjacent covers anything: recruit the best connector to
-            # open a new part of the graph (bounded, to avoid flooding).
-            if connectors_used >= self.max_connectors:
-                break
-            connector = max(frontier, key=lambda p: (scores[p], -p))
-            members.add(connector)
-            build_order.append(connector)
-            connectors_used += 1
+            counts = (holds[candidates] & uncovered).sum(axis=1)
+            best = np.lexsort((candidates, -scores[candidates], -counts))[0]
+            if not counts[best]:
+                # Nobody adjacent covers anything: recruit the best
+                # connector to open a new part of the graph (bounded, to
+                # avoid flooding).
+                if connectors_used >= self.max_connectors:
+                    break
+                connectors_used += 1
+            person = int(candidates[best])
+            build_order.append(person)
+            uncovered &= ~holds[person]
 
-        covered, uncovered_final = coverage_split(query, members, network)
         return Team(
-            members=frozenset(members),
+            members=frozenset(build_order),
             seed=seed_member,
-            covered_terms=covered,
-            uncovered_terms=uncovered_final,
+            covered_terms=frozenset(t for t, u in zip(terms, uncovered) if not u),
+            uncovered_terms=frozenset(t for t, u in zip(terms, uncovered) if u),
             build_order=tuple(build_order),
         )
 
@@ -138,38 +157,3 @@ class CoverTeamFormer(TeamFormationSystem):
         one rule shared by the greedy run and the delta session's seed
         re-derivation check, so the two can never drift."""
         return int(np.lexsort((np.arange(len(scores)), -scores))[0])
-
-    @staticmethod
-    def _frontier(network: CollaborationNetwork, members: Set[int]) -> Set[int]:
-        frontier: Set[int] = set()
-        for m in members:
-            frontier |= network.neighbors(m)
-        return frontier - members
-
-    @staticmethod
-    def _best_cover(
-        frontier: Set[int],
-        uncovered: Set[str],
-        scores: np.ndarray,
-        network: CollaborationNetwork,
-    ) -> Optional[Tuple[int, Set[str]]]:
-        """The frontier node covering the most uncovered terms, or None.
-
-        The key (cover count, score, -id) is unique per person, so the
-        winner is independent of frontier iteration order.
-        """
-        best_person: Optional[int] = None
-        best_cover: Set[str] = set()
-        best_key: Tuple[int, float, int] = (0, -np.inf, 0)
-        for person in frontier:
-            cover = network.skills(person) & uncovered
-            if not cover:
-                continue
-            key = (len(cover), float(scores[person]), -person)
-            if key > best_key:
-                best_key = key
-                best_person = person
-                best_cover = set(cover)
-        if best_person is None:
-            return None
-        return best_person, best_cover

@@ -335,6 +335,125 @@ class TestBackendConformance:
 # ----------------------------------------------------------------------
 # resolution: get/set/register + REPRO_BACKEND
 # ----------------------------------------------------------------------
+def _per_iteration_transpose_walk(
+    restart, adj, out_degree, *, damping, max_iterations, tolerance,
+    warm_start=None,
+):
+    """``NumpyBackend.power_iteration`` as written before its loop
+    invariants were hoisted: ``adj.T`` and the dangling mask rebuilt on
+    every iteration (the bitwise oracle)."""
+    inv_deg = np.divide(
+        1.0, out_degree, out=np.zeros_like(out_degree), where=out_degree > 0
+    )
+    scores = (restart if warm_start is None else warm_start).copy()
+    converged = False
+    for _ in range(max_iterations):
+        spread = adj.T @ (scores * inv_deg)
+        dangling = scores[out_degree == 0].sum()
+        new = (1 - damping) * restart + damping * (spread + dangling * restart)
+        if np.abs(new - scores).sum() < tolerance:
+            scores = new
+            converged = True
+            break
+        scores = new
+    return scores, converged
+
+
+def _per_iteration_transpose_walks(
+    restarts, adj, out_degree, *, damping, max_iterations, tolerance,
+    starts=None,
+):
+    """``NumpyBackend.power_iteration_stacked`` with ``adj.T`` rebuilt on
+    every iteration (the bitwise oracle)."""
+    n, k = restarts.shape
+    inv_deg = np.divide(
+        1.0, out_degree, out=np.zeros_like(out_degree), where=out_degree > 0
+    )
+    dangling_mask = out_degree == 0
+    scores = (restarts if starts is None else starts).copy()
+    solutions = np.empty((n, k))
+    converged = np.zeros(k, dtype=bool)
+    active = np.arange(k)
+    active_restarts = restarts.copy()
+    for _ in range(max_iterations):
+        spread = adj.T @ (scores * inv_deg[:, None])
+        dangling = scores[dangling_mask].sum(axis=0)
+        new = (1 - damping) * active_restarts + damping * (
+            spread + dangling[None, :] * active_restarts
+        )
+        done = np.abs(new - scores).sum(axis=0) < tolerance
+        if done.any():
+            solutions[:, active[done]] = new[:, done]
+            converged[active[done]] = True
+            keep = ~done
+            active = active[keep]
+            active_restarts = active_restarts[:, keep]
+            new = new[:, keep]
+            if active.size == 0:
+                return solutions, converged
+        scores = new
+    solutions[:, active] = scores
+    return solutions, converged
+
+
+class TestPowerIterationHoist:
+    """The fused walks compute ``adj.T`` and the dangling mask once per
+    call; every iterate must stay bitwise the per-iteration loop's."""
+
+    @staticmethod
+    def _walk_inputs(seed, n=40, k=5):
+        rng = np.random.default_rng(7000 + seed)
+        adj = _random_csr(rng, n, n, density=0.12)
+        adj = sp.csr_matrix(adj.multiply(rng.random((n, 1)) > 0.2))  # dangling rows
+        out_degree = np.asarray(adj.sum(axis=1)).ravel()
+        assert (out_degree == 0).any()
+        restarts = np.abs(rng.standard_normal((n, k))) + 1e-3
+        restarts /= restarts.sum(axis=0)
+        starts = np.abs(rng.standard_normal((n, k)))
+        starts /= starts.sum(axis=0)
+        return adj, out_degree, restarts, starts
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("max_iterations", [1, 7, 200])
+    def test_power_iteration_bitwise(self, seed, max_iterations):
+        adj, out_degree, restarts, starts = self._walk_inputs(seed)
+        kwargs = dict(damping=0.85, max_iterations=max_iterations, tolerance=1e-12)
+        for j in range(restarts.shape[1]):
+            for warm in (None, starts[:, j]):
+                got, got_conv = NumpyBackend().power_iteration(
+                    restarts[:, j], adj, out_degree, warm_start=warm, **kwargs
+                )
+                want, want_conv = _per_iteration_transpose_walk(
+                    restarts[:, j], adj, out_degree, warm_start=warm, **kwargs
+                )
+                assert got_conv == want_conv
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("max_iterations", [1, 7, 200])
+    def test_power_iteration_stacked_bitwise(self, seed, max_iterations):
+        adj, out_degree, restarts, starts = self._walk_inputs(seed)
+        kwargs = dict(damping=0.85, max_iterations=max_iterations, tolerance=1e-12)
+        for warm in (None, starts):
+            got, got_conv = NumpyBackend().power_iteration_stacked(
+                restarts, adj, out_degree, starts=warm, **kwargs
+            )
+            want, want_conv = _per_iteration_transpose_walks(
+                restarts, adj, out_degree, starts=warm, **kwargs
+            )
+            assert np.array_equal(got_conv, want_conv)
+            assert np.array_equal(got, want)
+
+    def test_pagerank_network_walks_bitwise(self, toy_net):
+        adj = toy_net.adjacency_csr()
+        out_degree = np.asarray(adj.sum(axis=1)).ravel()
+        restart = np.full(toy_net.n_people, 1.0 / toy_net.n_people)
+        kwargs = dict(damping=0.85, max_iterations=100, tolerance=1e-10)
+        got = NumpyBackend().power_iteration(restart, adj, out_degree, **kwargs)
+        want = _per_iteration_transpose_walk(restart, adj, out_degree, **kwargs)
+        assert got[1] == want[1] and np.array_equal(got[0], want[0])
+
+
 class TestBackendResolution:
     def test_set_backend_by_name_and_instance(self):
         previous = set_backend("reference")

@@ -55,6 +55,62 @@ class TestRankedResults:
             ranker.evaluate(["a"], net4)
 
 
+def _lexsort_ranks(raw):
+    """The 1-based ranks of the canonical sort (score descending, id
+    ascending, NaN last) — what ``rank_of`` read before it went
+    sort-free."""
+    order = np.lexsort((np.arange(len(raw)), -raw))
+    ranks = np.empty(len(raw), dtype=np.int64)
+    ranks[order] = np.arange(1, len(raw) + 1)
+    return order, ranks
+
+
+def _tie_heavy(rng, n):
+    """Scores drawn from a tiny pool: many ties, both zeros, NaN, ±inf."""
+    pool = np.array([0.0, -0.0, 0.25, -0.25, 1.0, np.nan, np.inf, -np.inf])
+    raw = pool[rng.integers(0, len(pool), size=n)]
+    if rng.random() < 0.5:
+        raw = np.where(rng.random(n) < 0.5, raw, rng.standard_normal(n))
+    return raw
+
+
+class TestSortFreeRanks:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rank_of_equals_lexsort_rank(self, seed):
+        rng = np.random.default_rng(seed)
+        raw = _tie_heavy(rng, int(rng.integers(1, 60)))
+        _, ranks = _lexsort_ranks(raw)
+        results = RankedResults.from_scores(raw)
+        assert [results.rank_of(p) for p in range(len(raw))] == ranks.tolist()
+        assert results.rank_of(-1) == ranks[-1]
+        assert results._order is None  # nothing was sorted
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_order_and_ranks_on_first_access(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        raw = _tie_heavy(rng, 50)
+        order, ranks = _lexsort_ranks(raw)
+        results = RankedResults.from_scores(raw)
+        results.rank_of(int(rng.integers(0, 50)))
+        assert np.array_equal(results.ranks, ranks)
+        assert np.array_equal(results.order, order)
+        assert results.top_k(5) == order[:5].tolist()
+
+    def test_signed_zero_ties_break_by_id(self):
+        results = RankedResults.from_scores([-0.0, 0.0, -0.0, 1.0])
+        assert [results.rank_of(p) for p in range(4)] == [2, 3, 4, 1]
+
+    def test_nan_ranks_last_by_id(self):
+        results = RankedResults.from_scores([np.nan, -np.inf, np.nan, 0.5])
+        assert [results.rank_of(p) for p in range(4)] == [3, 2, 4, 1]
+        assert results.order.tolist() == [3, 1, 0, 2]
+
+    def test_out_of_range_person_raises(self):
+        results = RankedResults.from_scores([0.1, 0.2])
+        with pytest.raises(IndexError):
+            results.rank_of(2)
+
+
 class TestRelevanceJudge:
     def test_judge_matches_rank(self, net4):
         ranker = FixedScoreRanker([0.1, 0.9, 0.5, 0.3])

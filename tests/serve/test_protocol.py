@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import threading
 
 import pytest
 
@@ -227,10 +228,22 @@ class TestDisconnects:
     ):
         """A client that sends a batch and vanishes costs the server the
         already-running dispatch, nothing else: the next client gets
-        normal service."""
+        normal service.
+
+        The dispatch is held on a gate that opens only once the server
+        has recorded the disconnect, so the batch is still in flight when
+        the abort is read however fast the batch would have run."""
         start_server, run = serve_harness
         service = make_service()
         requests = workload_for(service, n_queries=1)
+        gate = threading.Event()
+        explain_many = service.explain_many
+
+        def held_explain_many(*args, **kwargs):
+            gate.wait(timeout=60)
+            return explain_many(*args, **kwargs)
+
+        service.explain_many = held_explain_many
 
         async def scenario():
             server = await start_server(service)
@@ -245,11 +258,13 @@ class TestDisconnects:
             while server.inflight_batches == 0:
                 await asyncio.sleep(0.005)
             rude._writer.transport.abort()  # vanish mid-batch
-            # The server finishes the orphaned dispatch and records it.
-            for _ in range(2000):
-                if server.stats["disconnects_mid_batch"] >= 1:
-                    break
-                await asyncio.sleep(0.01)
+            try:
+                for _ in range(2000):
+                    if server.stats["disconnects_mid_batch"] >= 1:
+                        break
+                    await asyncio.sleep(0.01)
+            finally:
+                gate.set()  # the orphaned dispatch now runs to completion
             polite = await ServeClient.connect("127.0.0.1", server.port)
             responses, summary = await polite.explain_many(requests[:2])
             stats = dict(server.stats)

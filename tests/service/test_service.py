@@ -391,6 +391,19 @@ class TestDispatch:
         with pytest.raises(RuntimeError):
             responses[1].unwrap()
 
+    @pytest.mark.parametrize("kind", ["cf_skills", "skills"])
+    def test_out_of_range_seed_member_fails(self, service, net, query, kind):
+        """A team request seeded by a person id outside the network
+        answers ``failed`` with the network's IndexError — never a team
+        grown around the last person."""
+        request = ExplainRequest(
+            kind=kind, person=1, query=query, team=True, seed_member=-1
+        )
+        (response,) = service.explain_many([request], max_workers=1)
+        assert response.outcome == "failed"
+        assert response.error.kind == "IndexError"
+        assert "out of range" in response.error.message
+
     def test_responses_in_request_order(self, service, net, query):
         expert, nonexpert = _subjects(service.ranker, net, query)
         requests = [
