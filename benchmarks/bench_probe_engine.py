@@ -1,6 +1,6 @@
 """Probe-engine benchmark: per-ranker delta matrix + explanation suites.
 
-Nine measurements, all written to ``BENCH_probe_engine.json`` at the repo
+Eight measurements, all written to ``BENCH_probe_engine.json`` at the repo
 root so the perf trajectory is tracked across PRs:
 
 * a **per-ranker probe matrix** — the same random overlay probe states
@@ -26,18 +26,6 @@ root so the perf trajectory is tracked across PRs:
   deterministic single-thread mode vs. target-sharded thread-pool mode,
   with a bit-identical-explanations parity gate (and, in the full run, a
   1.5x single-thread speedup floor);
-* a **fused row** — a many-session hot-query workload (several
-  concurrent membership "user sessions" asking about the same hot
-  person, plus relevance requests, all over the same few queries)
-  through the sharded service with the cross-request
-  :class:`~repro.service.FlushBus` swept over batching windows, vs the
-  same sharded service with the bus disabled — with a
-  bit-identical-explanations gate against the deterministic
-  ``max_workers=1`` mode and, in the full run, a fused speedup floor
-  scaled to the host's core count (1.3x on >=4 cores where bus-disabled
-  shards overlap kernel calls for real, break-even on a single-core
-  host where the GIL serializes shards and the only recoverable waste
-  is thread-thrash itself — see ``fused_speedup_floor``);
 * a **resilience row** — the same service workload under a ~10%
   injected-fault plan (session errors, memo evictions, team-formation
   faults): throughput plus typed-outcome counts, with a parity gate
@@ -67,18 +55,18 @@ Run with::
     PYTHONPATH=src python benchmarks/bench_probe_engine.py
 
 ``--smoke`` runs the per-ranker matrix, the team-formation parity row,
-the per-ranker batched matrix, the SHAP multi-query exactness row, and
-the service / fused / resilience parity rows on a tiny network (no GAE,
-a briefly-trained GCN) and writes
-``BENCH_probe_engine.smoke.json`` — the CI job uses it to fail
-parity/perf-path regressions before the next full bench run.
+the per-ranker batched matrix, the SHAP multi-query exactness row, the
+service / resilience parity rows, the edit-storm row and the 1e3/1e4
+scale tiers on a tiny network (no GAE, a briefly-trained GCN) and writes
+``BENCH_probe_engine.smoke.json`` — ``scripts/check_bench.py`` gates
+that file in CI, failing parity/perf-path regressions before the next
+full bench run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -125,10 +113,8 @@ from repro.service import (
     ExplanationService,
     FaultInjector,
     FaultPlan,
-    FlushBus,
     explanation_signature,
     fault_injection,
-    make_requests,
 )
 from repro.team import CoverTeamFormer
 
@@ -784,169 +770,6 @@ def run_service_row(
     return row
 
 
-def fused_speedup_floor() -> float:
-    """The fused row's acceptance floor, scaled to the host's actual
-    parallelism.  The flush bus recovers waste that only exists when
-    shards genuinely overlap: racing duplicate probe states and
-    per-call kernel overhead across concurrent flushes.  On a
-    single-core host the GIL serializes shard execution, the shared
-    score memo already catches staggered duplicates, and the entire
-    recoverable margin is the thread-thrash overhead itself (~10% here)
-    — so the bar degrades to break-even-or-better, while multi-core
-    hosts (where bus-disabled shards overlap kernel calls for real)
-    must show the full design-target speedup."""
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        return 1.3
-    if cores >= 2:
-        return 1.1
-    return 1.0
-
-
-def run_fused_row(
-    exes,
-    net,
-    n_seeds: int = 8,
-    n_queries: int = 2,
-    workers: int = 8,
-    seed: int = 91,
-    windows=(0.001, 0.003, 0.006),
-    min_speedup: float = 0.0,
-) -> dict:
-    """Cross-request flush fusion on a many-session hot-query workload.
-
-    The workload shape the :class:`~repro.service.FlushBus` exists for:
-    several concurrent membership "user sessions" (one shard per team
-    seed, every session asking about the same hot person) plus
-    relevance requests, all probing the *same* few hot queries over one
-    ranker.  Every shard flushes small probe groups against the shared
-    delta session under identical ``(session, base version, query)``
-    keys, so the bus can merge them into fused kernel calls and collapse
-    duplicate in-flight probe states.  Three configurations over the
-    same requests:
-
-    * **deterministic** — ``max_workers=1``: the bus stays disarmed
-      (exact pass-through); its signatures are the parity reference;
-    * **sharded, bus disabled** — the PR-6 service behaviour: every
-      shard flushes its own small kernel groups independently;
-    * **sharded, fused** — the bus armed, swept over batching windows;
-      best window wins the row.
-
-    Gates: every configuration produces bit-identical explanations to
-    the deterministic mode, and ``min_speedup`` asserts the fused floor
-    over the bus-disabled sharded pass (``fused_speedup_floor()`` scales
-    the bar to the host's core count; 0 disables it for tiny smoke
-    networks, where flushes are too small for fusion to pay).  The
-    bus-disabled pass is re-run once per window, interleaved, so CPU
-    frequency drift lands on both sides.
-    """
-    rng_queries = random_queries(net, n_queries, seed=seed)
-    requests = []
-    for query in rng_queries:
-        q = tuple(sorted(query))
-        order = exes.ranker.evaluate(q, net).order
-        for person in (int(order[0]), int(order[K - 1])):
-            requests += make_requests(("skills", "cf_skills"), person, q)
-        # One membership user session per seed member: each is its own
-        # shard, all probing the same hot query through one ranker
-        # session.  Every session asks about the same *hot person* — a
-        # member common to all formed teams when one exists — so
-        # concurrent shards race through near-identical probe
-        # frontiers: maximal merge + in-flight dedupe opportunity.
-        teams = {
-            seed_member: exes.former.form(q, net, seed_member=seed_member)
-            for seed_member in (int(p) for p in order[:n_seeds])
-        }
-        common = frozenset.intersection(
-            *(frozenset(t.members) for t in teams.values())
-        )
-        for seed_member, team in teams.items():
-            pool = sorted((common or team.members) - {seed_member})
-            person = pool[0] if pool else seed_member
-            requests += make_requests(
-                ("cf_skills",), person, q, team=True, seed_member=seed_member
-            )
-    components = dict(
-        network=net, ranker=exes.ranker, embedding=exes.embedding,
-        link_predictor=exes.link_predictor, former=exes.former, k=K,
-        factual_config=FACTUAL, beam_config=BEAM,
-    )
-
-    def service_pass(max_workers, bus):
-        service = ExplanationService(**components, registry=EngineRegistry())
-        service.registry.flush_bus = bus  # None disables the bus outright
-        start = time.perf_counter()
-        responses = service.explain_many(requests, max_workers=max_workers)
-        elapsed = time.perf_counter() - start
-        assert all(r.ok for r in responses), [r.error for r in responses if not r.ok]
-        sigs = [explanation_signature(r.request, r.explanation) for r in responses]
-        return sigs, elapsed
-
-    try:
-        reference, deterministic_s = service_pass(1, FlushBus())
-        baseline_s = float("inf")
-        sweep = {}
-        best = {"window": None, "seconds": float("inf"), "counters": None}
-        for window in windows:
-            sigs, elapsed = service_pass(workers, None)
-            assert sigs == reference, "sharded (bus disabled) diverged"
-            baseline_s = min(baseline_s, elapsed)
-            bus = FlushBus(window=window)
-            sigs, elapsed = service_pass(workers, bus)
-            assert sigs == reference, (
-                f"fused (window={window}) explanations diverged from the "
-                f"deterministic mode"
-            )
-            counters = bus.counters()
-            sweep[f"{window:g}"] = {"seconds": elapsed, **counters}
-            if elapsed < best["seconds"]:
-                best = {"window": window, "seconds": elapsed, "counters": counters}
-    finally:
-        # Hand session ownership back to the facade's registry (the
-        # throwaway services above re-pointed the ranker/former hook).
-        exes.service.registry.install(exes.ranker, exes.former)
-
-    speedup = baseline_s / best["seconds"]
-    if min_speedup:
-        assert best["counters"]["merged_flushes"] > 0, (
-            "fused row merged nothing — the bus never fired"
-        )
-        # The single-core break-even tier gets the same dead-heat band
-        # the batched matrix uses; real speedup floors stay strict.
-        floor = (
-            min_speedup if min_speedup > 1.0 else min_speedup * _PARITY_BAND
-        )
-        assert speedup >= floor, (
-            f"fused speedup {speedup:.2f}x below the {min_speedup}x "
-            f"acceptance floor (gate {floor:.2f}x)"
-        )
-    row = {
-        "n_requests": len(requests),
-        "n_shards": n_queries * (n_seeds + 1),
-        "workers": workers,
-        "cpu_count": os.cpu_count() or 1,
-        "min_speedup_floor": min_speedup,
-        "deterministic_seconds": deterministic_s,
-        "sharded_seconds": baseline_s,
-        "fused_seconds": best["seconds"],
-        "best_window_seconds": best["window"],
-        "speedup_fused_vs_sharded": speedup,
-        "speedup_fused_vs_deterministic": deterministic_s / best["seconds"],
-        "window_sweep": sweep,
-        "bus": best["counters"],
-        "bit_identical": True,
-    }
-    print(
-        f"  {'fused':>13}: {baseline_s:.2f}s sharded -> "
-        f"{best['seconds']:.2f}s fused (window {best['window']}, "
-        f"{speedup:.2f}x, {best['counters']['merged_flushes']} merged "
-        f"flushes, max fused {best['counters']['max_fused']}), "
-        f"bit-identical to deterministic",
-        flush=True,
-    )
-    return row
-
-
 def run_resilience_row(
     exes,
     net,
@@ -1496,10 +1319,6 @@ def run_smoke() -> dict:
     # Parity gate only on the tiny network (speedups are noise at this
     # scale); the full bench asserts the 1.5x single-thread floor.
     service_row = run_service_row(service_exes, net, n_queries=2, workers=2)
-    fused_row = run_fused_row(
-        service_exes, net, n_seeds=2, n_queries=1, workers=2,
-        windows=(0.001,),
-    )
     resilience_row = run_resilience_row(
         service_exes, net, n_queries=2, workers=2
     )
@@ -1523,10 +1342,8 @@ def run_smoke() -> dict:
         "rankers": matrix,
         "team_formation": team_row,
         "batched": batch_matrix,
-        "gcn_batched": batch_matrix["gcn"],
         "shap_multi_query": shap_row,
         "service": service_row,
-        "fused": fused_row,
         "resilience": resilience_row,
         "edit_storm": edit_storm_row,
         "scale": scale_rows,
@@ -1574,9 +1391,6 @@ def main(huge: bool = False) -> dict:
 
     print("explanation service (explain_many vs per-call facade) ...", flush=True)
     service_row = run_service_row(exes, net, n_queries=4, workers=4, min_speedup=1.5)
-
-    print("fused flush bus (many-session hot-query workload, window sweep) ...", flush=True)
-    fused_row = run_fused_row(exes, net, min_speedup=fused_speedup_floor())
 
     print("resilience row (faulted workload, typed outcomes + parity) ...", flush=True)
     resilience_row = run_resilience_row(exes, net, n_queries=3, workers=4)
@@ -1635,10 +1449,8 @@ def main(huge: bool = False) -> dict:
         "rankers": ranker_matrix,
         "team_formation": team_row,
         "batched": batch_matrix,
-        "gcn_batched": batch_matrix["gcn"],
         "shap_multi_query": shap_row,
         "service": service_row,
-        "fused": fused_row,
         "resilience": resilience_row,
         "edit_storm": edit_storm_row,
         "scale": scale_rows,

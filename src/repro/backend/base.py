@@ -20,9 +20,12 @@ probe engine's 1e-9 parity band (:class:`~repro.backend.reference
 .ReferenceBackend`, all naive loops, is the conformance shim CI runs the
 tier-1 suite against).  Within one backend, the batched kernels must be
 **composition-insensitive**: a probe's scores may not depend on which
-other probes shared its flush — that is what lets the service's flush bus
-merge flushes across concurrent requests without perturbing any
-participant's answer.
+other probes shared its flush.  The probe engine splits a batch into
+``_BATCH_GROUP``-sized chunks, answers lone states through single
+``probe`` calls, and serves vectors from a score memo shared across
+engines and requests — so the same probe state reaches the kernels in
+flushes of every size and mix, and its answer must not depend on which
+one computed it first.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ PageRank power iterations, the HITS authority iteration, the hand-rolled
 block-diagonal CSR stack feeding batched GCN forwards, and the TF-IDF
 multi-row gathers.
 
-Bit-stability notes (load-bearing for the flush bus — see the
-composition-insensitivity contract in :mod:`repro.backend.base`):
+Bit-stability notes (load-bearing for the composition-insensitivity
+contract in :mod:`repro.backend.base`):
 
 * ``row_dot``/``gather_dots`` accumulate through ``np.add.reduceat``,
   which reduces each segment *strictly sequentially* — the same

@@ -11,8 +11,8 @@ semantics) fails there.
 
 The loops are also trivially composition-insensitive — an item's result
 cannot depend on its batch-mates when each item is computed alone —
-which makes this backend the executable statement of the contract the
-flush bus relies on.
+which makes this backend the executable statement of that contract
+(:mod:`repro.backend.base`).
 """
 
 from __future__ import annotations

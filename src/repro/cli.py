@@ -303,9 +303,7 @@ def cmd_workload(args: argparse.Namespace) -> int:
         )
         print(
             f"fusion: {flushes} probe flushes "
-            f"({report.fusion.get('flushed_probes', 0)} probes), "
-            f"{report.fusion.get('bus_merged_flushes', 0)} bus-merged "
-            f"(max fused {report.fusion.get('bus_max_fused', 0)})"
+            f"({report.fusion.get('flushed_probes', 0)} probes)"
         )
     if args.json:
         payload = {

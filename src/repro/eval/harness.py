@@ -328,9 +328,8 @@ class WorkloadReport:
     # Typed-outcome tally (ok/degraded/timed_out/rejected/failed) from
     # the service's resilience runtime; all-ok workloads show {"ok": n}.
     outcomes: Dict[str, int] = field(default_factory=dict)
-    # Probe-flush fusion activity this workload generated: engine flush
-    # counters plus ``bus_*`` merge counters from the registry's flush
-    # bus (empty for services without a registry flush bus).
+    # Probe-flush activity this workload generated: the registry's engine
+    # flush counters (empty for services without a registry).
     fusion: Dict[str, int] = field(default_factory=dict)
     # Per-request latency tail over computed responses
     # ({"p50": ..., "p95": ..., "p99": ...}) — the interactive-service
@@ -425,11 +424,7 @@ def run_workload_experiment(
     fusion: Dict[str, int] = {}
     if registry is not None and hasattr(registry, "flush_counters"):
         for name, value in registry.flush_counters().items():
-            if name == "bus_max_fused":
-                # A high-water mark, not a rate — report it as-is.
-                fusion[name] = value
-            else:
-                fusion[name] = value - flush_before.get(name, 0)
+            fusion[name] = value - flush_before.get(name, 0)
     return aggregate_workload(responses, elapsed, max_workers, fusion)
 
 

@@ -27,7 +27,6 @@ from repro.search.engine import (
     HitsDeltaSession,
     PageRankDeltaSession,
     ProbeEngine,
-    ProbeSession,
     SharedProbeContext,
     TfidfDeltaSession,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "PageRankDeltaSession",
     "PageRankExpertRanker",
     "ProbeEngine",
-    "ProbeSession",
     "RankedResults",
     "RelevanceJudge",
     "SharedProbeContext",

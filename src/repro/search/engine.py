@@ -18,10 +18,10 @@ probe.  This module makes probes O(Δ) for **all four shipped rankers**:
 
   Per-ranker implementations:
 
-  - :class:`GcnDeltaSession` (alias ``ProbeSession``) — cached base feature
-    matrix + the GCN propagation operator ``D^-1/2 (A+I) D^-1/2``; a skill
-    flip re-derives one feature row, an edge flip is spliced into the CSR
-    arrays of the cached ``A+I`` (:func:`_flip_csr`) and re-normalized.
+  - :class:`GcnDeltaSession` — cached base feature matrix + the GCN
+    propagation operator ``D^-1/2 (A+I) D^-1/2``; a skill flip re-derives
+    one feature row, an edge flip is spliced into the CSR arrays of the
+    cached ``A+I`` (:func:`_flip_csr`) and re-normalized.
   - :class:`PageRankDeltaSession` — cached transition operator (adjacency +
     out-degrees) and, per query, the restart counts and base solution; a
     probe patches the restart vector / degrees in O(Δ) and warm-starts
@@ -529,7 +529,9 @@ class GcnDeltaSession(DeltaSession):
         vocab = ranker._feature_vocab
         fm = ranker._feature_matrix
         if vocab is None or fm is None:
-            raise RuntimeError("ranker must be fitted before opening a ProbeSession")
+            raise RuntimeError(
+                "ranker must be fitted before opening a GcnDeltaSession"
+            )
         super().__init__(ranker, base)
         self._vocab: Dict[str, int] = vocab
         self._fm: np.ndarray = fm
@@ -1032,11 +1034,6 @@ class GcnDeltaSession(DeltaSession):
         return patched
 
 
-#: Backwards-compatible name from PR 1, when the GCN ranker was the only
-#: system with a delta path.
-ProbeSession = GcnDeltaSession
-
-
 class PageRankDeltaSession(DeltaSession):
     """O(Δ) probes for :class:`~repro.search.pagerank.PageRankExpertRanker`.
 
@@ -1275,9 +1272,10 @@ class PageRankDeltaSession(DeltaSession):
         (the backend's ``pagerank_stack_min_people`` cost hint — the
         stacked kernel's dense bookkeeping loses to plain spmv walks on
         small networks), never on how many walks share the flush: a
-        composition-sensitive choice would let the service's flush bus
-        change a walk's kernel path (and its last-ulp rounding) depending
-        on which requests happened to merge."""
+        composition-sensitive choice would change a walk's kernel path
+        (and its last-ulp rounding) with the chunk it happened to be
+        flushed in, and the shared score memo would then serve whichever
+        rounding was computed first."""
         if not ekey:
             adj, out_degree = self._adj, self._out_degree
         else:
@@ -1891,8 +1889,8 @@ class TfidfDeltaSession(DeltaSession):
             cols, vals = self._patched_row(overlay.skills(p))
             # backend.row_dot, not a BLAS dot: its sequential accumulation
             # is bitwise identical to the fused gather and to the CSR
-            # matvec behind ``base_scores``, so single probes, batch
-            # flushes, and bus-merged flushes all agree exactly.
+            # matvec behind ``base_scores``, so single probes and batch
+            # flushes of any size agree exactly.
             out[p] = self.backend.row_dot(vals, q_vec[cols]) if cols.size else 0.0
         return out
 
@@ -1929,12 +1927,12 @@ class TfidfDeltaSession(DeltaSession):
         against the query vector re-scores them all — deduplicated through
         the per-skill-set row memo.  Small flushes (fewer patched rows
         than the backend's ``tfidf_gather_min_rows`` cost hint — every
-        unfused probe-engine flush) skip the gather: with so few rows its
-        construction costs more than the per-row dot products, so the
-        batched path answers with the sequential loop, base state
-        hoisted.  Both kernels accumulate identically (see
-        ``NumericBackend.row_dot``), so a bus-merged flush crossing the
-        threshold cannot perturb any participant's values."""
+        ``_BATCH_GROUP``-chunked probe-engine flush) skip the gather:
+        with so few rows its construction costs more than the per-row
+        dot products, so the batched path answers with the sequential
+        loop, base state hoisted.  Both kernels accumulate identically
+        (see ``NumericBackend.row_dot``), so a flush crossing the
+        threshold cannot perturb any probe's values."""
         overlays = list(overlays)
         if len(overlays) <= 1:
             return [self.scores(query, ov) for ov in overlays]
@@ -2047,7 +2045,6 @@ class ProbeEngine:
         memoize: bool = True,
         full_rebuild: bool = False,
         score_memo: Optional[_LruCache] = None,
-        flush_sink=None,
     ) -> None:
         if isinstance(network, NetworkOverlay):
             # Bind to the overlay's base: probe states derived from the
@@ -2059,12 +2056,6 @@ class ProbeEngine:
         self.base_version = network.version
         self.memoize = memoize
         self.full_rebuild = full_rebuild
-        # Optional cross-request batching sink (the service registry's
-        # FlushBus).  When armed it may merge this engine's session
-        # flushes with concurrent engines' flushes over the same session;
-        # when absent or disarmed every flush goes straight to the
-        # session — the engine stays service-agnostic either way.
-        self.flush_sink = flush_sink
         self.hits = 0  # decision-memo answers (no work at all)
         self.misses = 0  # probes that evaluated the underlying system
         # Decisions derived from a memoized score vector: no ranker
@@ -2241,9 +2232,9 @@ class ProbeEngine:
             )
         if active_localized() is not None:
             # Localized plans are per-(query, overlay) cones; the stacked
-            # flush kernels (and the cross-request flush bus) are global
-            # by construction, so the scope serves states sequentially —
-            # each through the localized memo keys and plan accounting.
+            # flush kernels are global by construction, so the scope
+            # serves states sequentially — each through the localized
+            # memo keys and plan accounting.
             return [
                 self.probe(person, query, network)
                 for person, query, network in resolved
@@ -2336,16 +2327,8 @@ class ProbeEngine:
         queries: List[Query],
     ) -> List[np.ndarray]:
         """One multi-query flush (budget and fault point already charged
-        on this thread), offered to the flush sink first.  A sink answer
-        of None — bus disarmed, or the merged call failed — falls back to
-        the direct session call, which is the exact pass-through the
-        deterministic single-worker mode always takes."""
-        sink = self.flush_sink
-        score_list = None
-        if sink is not None:
-            score_list = sink.submit_multi(session, overlay, queries)
-        if score_list is None:
-            score_list = session.shared_context(overlay).scores_multi(queries)
+        on this thread): a direct session call."""
+        score_list = session.shared_context(overlay).scores_multi(queries)
         self.multi_flushes += 1
         self.flushed_probes += len(queries)
         return score_list
@@ -2356,14 +2339,9 @@ class ProbeEngine:
         query: Query,
         overlays: List[NetworkOverlay],
     ) -> List[np.ndarray]:
-        """One same-query batched flush; sink-first like
+        """One same-query batched flush; a direct session call like
         :meth:`_flush_multi`."""
-        sink = self.flush_sink
-        score_list = None
-        if sink is not None:
-            score_list = sink.submit_batch(session, query, overlays)
-        if score_list is None:
-            score_list = session.scores_batch(query, overlays)
+        score_list = session.scores_batch(query, overlays)
         self.batch_flushes += 1
         self.flushed_probes += len(overlays)
         return score_list

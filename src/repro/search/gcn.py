@@ -33,7 +33,7 @@ from repro.embeddings.similarity import SkillEmbedding
 from repro.graph.network import CollaborationNetwork
 from repro.graph.overlay import NetworkOverlay
 from repro.graph.perturbations import Query, as_query
-from repro.search.engine import ProbeSession
+from repro.search.engine import GcnDeltaSession
 from repro.nn.autograd import Tensor
 from repro.nn.layers import GCNConv, Linear, Module
 from repro.nn.losses import margin_ranking_loss
@@ -88,9 +88,9 @@ class GcnExpertRanker(ExpertSearchSystem):
         # full_rebuild (escape hatch) and the _session cache come from
         # ExpertSearchSystem.
 
-    def delta_session(self, base: CollaborationNetwork) -> ProbeSession:
+    def delta_session(self, base: CollaborationNetwork) -> GcnDeltaSession:
         """The GCN delta-scoring session (see ``repro.search.engine``)."""
-        return ProbeSession(self, base)
+        return GcnDeltaSession(self, base)
 
     # ------------------------------------------------------------------
     # feature space

@@ -8,35 +8,43 @@ second serialization dialect.
 
 Client → server frames:
 
-=============  ==========================================================
-``hello``      name this connection's session (``{"session": "alice"}``);
-               the server answers ``welcome`` and stamps the session onto
-               every request that doesn't carry its own
-``batch``      ``{"id": ..., "requests": [...], "max_workers": 1,
-               "coalesce": true}`` — dispatch a batch through
-               ``explain_many``
-``ping``       liveness probe; answered with ``pong``
-=============  ==========================================================
+==============  =========================================================
+``hello``       name this connection's session (``{"session": "alice"}``);
+                the server answers ``welcome`` and stamps the session
+                onto every request that doesn't carry its own
+``batch``       ``{"id": ..., "requests": [...], "max_workers": 1,
+                "coalesce": true}`` — dispatch a batch through
+                ``explain_many``
+``commit``      ``{"id": ..., "skill_flips": [[person, skill, added],
+                ...], "edge_flips": [[u, v, added], ...]}`` — a live
+                base edit
+``ping``        liveness probe; answered with ``pong``
+==============  =========================================================
 
 Server → client frames:
 
-=============  ==========================================================
-``welcome``    session assignment + protocol version
-``result``     one streamed response: ``{"id": <batch>, "index": <pos in
-               the batch>, "response": {...}}`` — emitted as each request
-               completes, *before* the batch finishes, tagged with the
-               ``ok/degraded/timed_out/rejected/failed`` outcome taxonomy
-``batch_end``  terminal summary: outcome tally, elapsed wall clock, a
-               :class:`~repro.service.runtime.ServiceStats` snapshot and
-               the registry's flush-bus fusion counters
-``error``      a typed protocol error (:class:`ProtocolError` rendered as
-               an :class:`~repro.service.requests.ExplainError` dict) —
-               malformed JSON, an oversized frame, an invalid request
-               payload, an unknown frame type, or a shutting-down server.
-               Errors never close the connection; the peer may continue
-``pong``       ping reply
-``shutdown``   the server is closing this connection after a drain
-=============  ==========================================================
+==============  =========================================================
+``welcome``     session assignment + protocol version
+``result``      one streamed response: ``{"id": <batch>, "index": <pos
+                in the batch>, "response": {...}}`` — emitted as each
+                request completes, *before* the batch finishes, tagged
+                with the ``ok/degraded/timed_out/rejected/failed``
+                outcome taxonomy
+``batch_end``   terminal summary: outcome tally, elapsed wall clock, a
+                :class:`~repro.service.runtime.ServiceStats` snapshot
+                and, under ``fusion``, the registry's engine flush
+                counters
+``commit_end``  the committed old/new base versions and the rebase stats
+``error``       a typed protocol error (:class:`ProtocolError` rendered
+                as an :class:`~repro.service.requests.ExplainError`
+                dict) — malformed JSON, an oversized frame, an invalid
+                request payload (a non-finite number where an integer
+                belongs included), an unknown frame type, or a
+                shutting-down server.  Errors never close the
+                connection; the peer may continue
+``pong``        ping reply
+``shutdown``    the server is closing this connection after a drain
+==============  =========================================================
 
 Framing errors are *typed, not fatal*: an oversized line is discarded
 through the next newline and answered with an ``error`` frame, a

@@ -20,7 +20,7 @@ Design points:
   ``ok/degraded/timed_out/rejected/failed`` outcome taxonomy) reach the
   client *before* the batch finishes.  The terminal ``batch_end`` frame
   carries the outcome tally, a :class:`~repro.service.runtime
-  .ServiceStats` snapshot, and the registry's flush-bus fusion counters.
+  .ServiceStats` snapshot, and the registry's engine flush counters.
 
 * **Backpressure, not buffering.**  A connection may pipeline at most
   ``max_inflight_batches`` batches; past that the server simply *stops
@@ -385,7 +385,7 @@ class ExplanationServer:
             return
         try:
             requests = [request_from_dict(item) for item in payload]
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             self._protocol_error(
                 conn, InvalidRequest(f"bad request payload: {exc}"), batch_id
             )
@@ -402,7 +402,7 @@ class ExplanationServer:
             max_workers = max(
                 1, min(int(raw_workers), self.config.max_batch_workers)
             )
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             self._protocol_error(
                 conn,
                 InvalidRequest(f"max_workers must be an integer, got {raw_workers!r}"),
@@ -457,7 +457,7 @@ class ExplanationServer:
                     overlay.add_edge(int(u), int(v))
                 else:
                     overlay.remove_edge(int(u), int(v))
-        except (TypeError, ValueError, KeyError, IndexError) as exc:
+        except (TypeError, ValueError, KeyError, IndexError, OverflowError) as exc:
             self._protocol_error(
                 conn, InvalidRequest(f"bad commit payload: {exc}"), commit_id
             )
@@ -557,7 +557,6 @@ class ExplanationServer:
         fusion = {
             name: value - fusion_before.get(name, 0)
             for name, value in registry.flush_counters().items()
-            if name != "bus_max_fused"
         }
         builds = (
             registry.engine_builds + registry.session_builds - builds_before

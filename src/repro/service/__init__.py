@@ -31,7 +31,7 @@ from repro.service.faults import (
     InjectedSessionError,
     InjectedStaleBaseError,
 )
-from repro.service.registry import EngineRegistry, FlushBus, default_registry
+from repro.service.registry import EngineRegistry, default_registry
 from repro.service.requests import (
     COUNTERFACTUAL_KINDS,
     EXPLANATION_KINDS,
@@ -70,7 +70,6 @@ __all__ = [
     "ExplanationService",
     "FaultInjector",
     "FaultPlan",
-    "FlushBus",
     "InjectedFault",
     "InjectedSessionError",
     "InjectedStaleBaseError",

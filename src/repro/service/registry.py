@@ -38,25 +38,22 @@ never alias the identity check, it just forces a rebuild.
 The registry is thread-safe (one re-entrant lock around get-or-create);
 the engines it hands out are **not** — ``ExplanationService.explain_many``
 keeps each engine on a single shard thread, while the sessions below them
-are safely shared through :class:`_LruCache`'s internal locking.
+are safely shared through :class:`_LruCache`'s internal locking (shards
+and the server's dispatch threads may probe one session at once).  Every
+probe flush is a direct call on its engine's session; nothing merges
+flushes across engines or requests.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from repro.explain.targets import MembershipTarget, RelevanceTarget
 from repro.graph.network import CollaborationNetwork
 from repro.graph.overlay import NetworkOverlay
-from repro.graph.perturbations import Query
 from repro.search.engine import (
     _MAX_SCORE_MEMO,
-    DeltaSession,
     ProbeEngine,
     _LruCache,
     _rekey_memo_entries,
@@ -65,325 +62,6 @@ from repro.search.engine import (
 #: Default bound on engines / sessions kept per registry.  Engines hold
 #: score-vector memos (n floats each) so this is a real memory knob.
 DEFAULT_CAPACITY = 32
-
-#: Default batching window (seconds) a flush-bus leader holds its group
-#: open before executing the merged kernel call.  Long enough for probe
-#: flushes issued by concurrently running shards to land in the same
-#: group, short enough to stay invisible next to the kernel itself.
-DEFAULT_FLUSH_WINDOW = 0.002
-
-#: Hard cap on items merged into one bus group — bounds the block size of
-#: the fused kernel call (and thus its memory), mirroring the engine's
-#: per-flush ``_BATCH_GROUP`` bound at the cross-request level.
-MAX_FUSED_ITEMS = 64
-
-#: How long a follower waits for its leader's merged call before giving
-#: up and falling back to a direct session call.  Purely a liveness
-#: backstop — a leader that dies mid-call (thread killed) must not wedge
-#: its followers forever.
-_FOLLOWER_TIMEOUT = 30.0
-
-
-class _PendingItem:
-    """One probe state some leader is currently computing: other merged
-    calls wanting the same state wait for this instead of recomputing."""
-
-    __slots__ = ("done", "result", "failed")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result: Optional[np.ndarray] = None
-        self.failed = False
-
-
-class _FlushGroup:
-    """One open merge group on the bus: accumulated items, per-participant
-    slices, and the leader's completion signal."""
-
-    __slots__ = (
-        "items", "slices", "execute", "item_key",
-        "results", "error", "done", "closed",
-    )
-
-    def __init__(
-        self,
-        execute: Callable[[List], List[np.ndarray]],
-        item_key: Callable[[object], object],
-    ) -> None:
-        self.items: List = []
-        self.slices: List[Tuple[int, int]] = []  # (start, count) per participant
-        self.execute = execute
-        self.item_key = item_key
-        self.results: Optional[List[np.ndarray]] = None
-        self.error: Optional[BaseException] = None
-        self.done = threading.Event()
-        self.closed = False
-
-
-class FlushBus:
-    """Cross-request probe-flush merging over shared delta sessions.
-
-    Concurrent ``explain_many`` shards that probe the same ranker over the
-    same frozen base network flush tiny kernel groups independently —
-    each a ``scores_batch``/``scores_multi`` call whose fixed overhead
-    dominates at probe-flush sizes.  The bus merges flushes that share a
-    *(session, base version, query)* key (batch axis) or a *(session,
-    base version, flip set)* key (multi-query axis) into **one** merged
-    kernel call behind a small batching window:
-
-    * the first flush to open a key becomes the **leader** — it waits out
-      the window, closes the group, and runs the single merged session
-      call on its own thread;
-    * later flushes on the same key are **followers** — their items join
-      the group and they block until the leader publishes results, then
-      take their own slice.
-
-    Duplicate probe states are collapsed twice over: identical items
-    *within* a merged group run through the kernel once, and an item
-    some other merged call on the same key is **already computing** is
-    awaited (singleflight) instead of recomputed — concurrent shards
-    racing through the same beam frontier submit the same states faster
-    than the shared score memo can publish them, and this is where the
-    fused path's headroom lives.
-
-    Correctness leans on two invariants owned elsewhere: backends are
-    composition-insensitive (a probe's scores cannot depend on its
-    batch-mates — :mod:`repro.backend.base`), and every participant
-    charges its *own* request budget and passes its own fault point
-    *before* submitting, so a budget-exhausted or faulted participant
-    simply never joins the group and a merged flush degrades only the
-    participants whose own checks failed.  If the merged call itself
-    fails, every participant falls back to its direct session call.
-
-    The bus only merges while **armed** (the service arms it around
-    thread-pool execution).  Disarmed — in particular in deterministic
-    ``max_workers=1`` mode — ``submit_*`` returns None and the engine's
-    direct session call runs instead: an exact pass-through.
-    """
-
-    def __init__(
-        self,
-        window: float = DEFAULT_FLUSH_WINDOW,
-        max_items: int = MAX_FUSED_ITEMS,
-    ) -> None:
-        self.window = window
-        self.max_items = max_items
-        self._lock = threading.Lock()
-        self._armed = 0
-        self._open: Dict[Tuple, _FlushGroup] = {}
-        # (bus key, item key) -> the computation already in flight for
-        # that probe state, whichever merged call owns it (singleflight).
-        self._inflight: Dict[Tuple, _PendingItem] = {}
-        # observability
-        self.flushes = 0  # submissions accepted while armed
-        self.merged_flushes = 0  # groups that fused >1 participant
-        self.fused_participants = 0  # participants across merged groups
-        self.fused_items = 0  # items across merged groups
-        self.max_fused = 0  # largest participant count in one group
-        self.deduped_items = 0  # duplicate in-group items computed once
-        self.inflight_hits = 0  # items served by another call in flight
-
-    # ------------------------------------------------------------------
-    # arming
-    # ------------------------------------------------------------------
-    @contextmanager
-    def armed(self):
-        """Scope in which submissions may merge (re-entrant: each
-        concurrently running shard arms the shared bus, so the armed
-        count doubles as a live concurrency signal — a leader only pays
-        the batching window while another armed scope could still
-        contribute a flush)."""
-        with self._lock:
-            self._armed += 1
-        try:
-            yield self
-        finally:
-            with self._lock:
-                self._armed -= 1
-
-    # ------------------------------------------------------------------
-    # submission
-    # ------------------------------------------------------------------
-    def submit_batch(
-        self,
-        session: DeltaSession,
-        query: Query,
-        overlays: Sequence,
-    ) -> Optional[List[np.ndarray]]:
-        """Offer a same-query batched flush for merging.  Returns this
-        caller's score vectors, or None when the bus is disarmed (or the
-        merged call failed) and the caller should flush directly."""
-        key = ("batch", id(session), session.base_version, query)
-
-        def execute(items: List) -> List[np.ndarray]:
-            return session.scores_batch(query, items)
-
-        # Overlays with identical flip sets score identically — the key
-        # lets the leader compute each distinct probe state once.
-        return self._submit(
-            key, list(overlays), execute, item_key=lambda ov: ov.flips()
-        )
-
-    def submit_multi(
-        self,
-        session: DeltaSession,
-        overlay,
-        queries: Sequence[Query],
-    ) -> Optional[List[np.ndarray]]:
-        """Offer a multi-query flush (one pinned overlay, many queries)
-        for merging.  Keyed by the overlay's *flip set* — participants
-        holding distinct overlay objects with identical flips resolve to
-        identical patches through the session's flip-set caches, so the
-        leader's overlay answers for everyone."""
-        key = ("multi", id(session), session.base_version, overlay.flips())
-
-        def execute(items: List) -> List[np.ndarray]:
-            return session.shared_context(overlay).scores_multi(items)
-
-        return self._submit(key, list(queries), execute, item_key=lambda q: q)
-
-    def _submit(
-        self,
-        key: Tuple,
-        items: List,
-        execute: Callable[[List], List[np.ndarray]],
-        item_key: Callable[[object], object],
-    ) -> Optional[List[np.ndarray]]:
-        with self._lock:
-            if self._armed <= 0 or not items:
-                return None
-            self.flushes += 1
-            crowd = self._armed
-            group = self._open.get(key)
-            leader = (
-                group is None
-                or group.closed
-                or len(group.items) + len(items) > self.max_items
-            )
-            if leader:
-                group = _FlushGroup(execute, item_key)
-                self._open[key] = group
-            start = len(group.items)
-            group.items.extend(items)
-            group.slices.append((start, len(items)))
-            slot = len(group.slices) - 1
-        if leader:
-            if self.window > 0 and crowd > 1:
-                # Hold the group open only while some *other* armed scope
-                # is live and could still contribute a flush; a lone shard
-                # (deterministic tails included) flushes immediately.
-                time.sleep(self.window)
-            with self._lock:
-                group.closed = True
-                if self._open.get(key) is group:
-                    del self._open[key]
-                n_parts = len(group.slices)
-                n_items = len(group.items)
-            n_deduped = 0
-            n_inflight = 0
-            mine: List[Tuple] = []  # (item key, item, pending) owned here
-            theirs: List[Tuple] = []  # (item key, pending) owned elsewhere
-            try:
-                # Concurrent shards racing through the same probe frontier
-                # submit duplicate states faster than the shared score memo
-                # can publish them; collapse in-group duplicates so each
-                # distinct item runs through the kernel exactly once.
-                keys = [group.item_key(item) for item in group.items]
-                seen: Dict[object, None] = {}
-                unique: List[Tuple] = []
-                for ik, item in zip(keys, group.items):
-                    if ik not in seen:
-                        seen[ik] = None
-                        unique.append((ik, item))
-                n_deduped = n_items - len(unique)
-                # Singleflight across merged calls on the same bus key: a
-                # state another leader is already computing is awaited,
-                # never recomputed.  Registration is atomic, and a leader
-                # only waits *after* computing and publishing its own
-                # items, so every pending completes and no cycle forms.
-                with self._lock:
-                    for ik, item in unique:
-                        pending = self._inflight.get((key, ik))
-                        if pending is not None:
-                            theirs.append((ik, pending))
-                        else:
-                            pend = _PendingItem()
-                            self._inflight[(key, ik)] = pend
-                            mine.append((ik, item, pend))
-                n_inflight = len(theirs)
-                resolved: Dict[object, np.ndarray] = {}
-                try:
-                    results = (
-                        group.execute([item for _, item, _ in mine])
-                        if mine
-                        else []
-                    )
-                    if len(results) != len(mine):
-                        raise RuntimeError(
-                            f"merged flush returned {len(results)} results "
-                            f"for {len(mine)} items"
-                        )
-                    for (ik, _, pend), vec in zip(mine, results):
-                        pend.result = vec
-                        resolved[ik] = vec
-                finally:
-                    with self._lock:
-                        for ik, _, pend in mine:
-                            if pend.result is None:
-                                pend.failed = True
-                            pend.done.set()
-                            self._inflight.pop((key, ik), None)
-                for ik, pending in theirs:
-                    pending.done.wait(timeout=_FOLLOWER_TIMEOUT)
-                    if pending.failed or pending.result is None:
-                        raise RuntimeError(
-                            "in-flight probe state failed in its own call"
-                        )
-                    resolved[ik] = pending.result
-                group.results = [resolved[ik] for ik in keys]
-            except BaseException as exc:  # noqa: BLE001 — published to followers
-                group.error = exc
-            finally:
-                group.done.set()
-            with self._lock:
-                self.deduped_items += n_deduped
-                self.inflight_hits += n_inflight
-                if n_parts > 1:
-                    self.merged_flushes += 1
-                    self.fused_participants += n_parts
-                    self.fused_items += n_items
-                    self.max_fused = max(self.max_fused, n_parts)
-        else:
-            group.done.wait(timeout=_FOLLOWER_TIMEOUT)
-        if group.results is None:
-            # Merged call failed (or leader never finished): every
-            # participant falls back to its own direct session call.
-            return None
-        start, count = group.slices[slot]
-        return group.results[start : start + count]
-
-    # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-    def counters(self) -> Dict[str, int]:
-        """Snapshot of the merge counters (stable key set)."""
-        with self._lock:
-            return {
-                "flushes": self.flushes,
-                "merged_flushes": self.merged_flushes,
-                "fused_participants": self.fused_participants,
-                "fused_items": self.fused_items,
-                "max_fused": self.max_fused,
-                "deduped_items": self.deduped_items,
-                "inflight_hits": self.inflight_hits,
-            }
-
-    def __repr__(self) -> str:
-        return (
-            f"FlushBus(window={self.window}, merged={self.merged_flushes}, "
-            f"max_fused={self.max_fused})"
-        )
-
 
 def _target_key(target) -> Tuple:
     """A hashable identity for the decision target: which system is being
@@ -402,10 +80,6 @@ class EngineRegistry:
         self._engines = _LruCache(capacity)
         self._search_sessions = _LruCache(capacity)
         self._team_sessions = _LruCache(capacity)
-        # One bus per registry: engines built here get it as their flush
-        # sink, so probe flushes from different engines (targets,
-        # requests, shards) sharing a delta session can merge.
-        self.flush_bus = FlushBus()
         # (ranker, base, version) -> the shared score-vector memo injected
         # into every engine probing that pair.  Score vectors are person-
         # AND target-independent, so a vector computed under the relevance
@@ -441,7 +115,6 @@ class EngineRegistry:
                 engine = ProbeEngine(
                     target, network,
                     score_memo=self._score_memo_for(target, network),
-                    flush_sink=self.flush_bus,
                 )
                 self._engines.put(key, engine)
                 self.engine_builds += 1
@@ -638,18 +311,14 @@ class EngineRegistry:
     # bookkeeping
     # ------------------------------------------------------------------
     def flush_counters(self) -> Dict[str, int]:
-        """Aggregate flush observability across every live engine, plus
-        the bus's merge counters: how many multi-query and batched
-        flushes ran, how many probe states flowed through them, and how
-        often the bus fused flushes from concurrent requests."""
+        """Aggregate flush observability across every live engine: how
+        many multi-query and batched flushes ran, and how many probe
+        states flowed through them."""
         out = {"multi_flushes": 0, "batch_flushes": 0, "flushed_probes": 0}
         for engine in self._engines.values():
             out["multi_flushes"] += engine.multi_flushes
             out["batch_flushes"] += engine.batch_flushes
             out["flushed_probes"] += engine.flushed_probes
-        if self.flush_bus is not None:  # benches disable the bus outright
-            for name, value in self.flush_bus.counters().items():
-                out[f"bus_{name}"] = value
         return out
 
     @property

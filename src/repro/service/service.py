@@ -13,9 +13,11 @@ through :meth:`explain_many`.
 
 * requests are **sharded by decision target** — every request against the
   same ``(relevance | membership, seed_member)`` target shares one probe
-  engine, and distinct targets are independent, so shards run concurrently
-  on a thread pool (the scoring stack is numpy/scipy-heavy, so threads
-  win: the hot loops release the GIL inside BLAS/spmm kernels);
+  engine, and distinct targets are independent, so shards may run
+  concurrently on a thread pool.  Under the GIL this measures about
+  break-even, not a win: a 1-core bench run timed the service row at
+  13.31 s sharded vs 13.50 s single-thread, and a 2-vCPU smoke run
+  served 3.42 req/s sharded vs 4.22 req/s single-thread;
 * within a shard, requests are **ordered by query** along the PR-4
   two-axis batching, so consecutive requests hit the engine's score memo
   and the sessions' per-query base caches while they are hottest — an
@@ -64,7 +66,6 @@ import threading
 import time
 import traceback as _traceback
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -267,11 +268,9 @@ class ExplanationService:
         The gate semantics: announcing the commit blocks *new* requests
         at the :meth:`_answer_one` door, then the commit waits until
         every in-flight request has drained — so every response is
-        computed against exactly one base version, and the flush bus can
-        never fuse probes across the boundary (its keys carry the
-        sessions' ``base_version``, which only moves here, with zero
-        requests in flight).  Concurrent commits serialize on the same
-        gate."""
+        computed against exactly one base version (the sessions'
+        ``base_version`` only moves here, with zero requests in flight).
+        Concurrent commits serialize on the same gate."""
         if overlay.base is not self.network:
             raise ValueError("overlay does not extend this service's network")
         with self._version_gate:
@@ -642,39 +641,14 @@ class ExplanationService:
                 emit(i)
 
         if max_workers <= 1 or len(shards) == 1:
-            # Deterministic sequential mode: the flush bus stays disarmed,
-            # so every probe flush is an exact pass-through to its session.
+            # Deterministic sequential mode: shards in sorted order on the
+            # calling thread.
             for shard in shards:
                 run_shard(shard)
         else:
-            # Concurrent shards probing the same (ranker, base version)
-            # may now merge their probe flushes: each shard thread arms the
-            # registry's flush bus for its own lifetime — the armed count
-            # is thus a live concurrency signal (a flush only waits out the
-            # batching window while another shard is actually running) —
-            # and the merge activity this batch generated is surfaced
-            # through the service stats.
-            bus = getattr(self.registry, "flush_bus", None)
-            before = bus.counters() if bus is not None else {}
-
-            def run_shard_armed(shard: List[Tuple[int, ExplainRequest]]) -> None:
-                with bus.armed() if bus is not None else nullcontext():
-                    run_shard(shard)
-
-            try:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    # list() propagates unexpected shard-level crashes.
-                    list(pool.map(run_shard_armed, shards))
-            finally:
-                if bus is not None:
-                    for name, value in bus.counters().items():
-                        delta = value - before.get(name, 0)
-                        if name == "max_fused":
-                            # A high-water mark, not a rate: track the
-                            # batch's own peak.
-                            delta = value if delta > 0 else 0
-                        if delta > 0:
-                            self.stats.bump(f"bus.{name}", delta)
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                # list() propagates unexpected shard-level crashes.
+                list(pool.map(run_shard, shards))
         return results  # type: ignore[return-value]
 
     def _shard(

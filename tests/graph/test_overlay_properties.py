@@ -7,6 +7,9 @@ whose ``flips()`` is read after every step, so a stale cached delta
 would show.  The same sequence is replayed one call at a time on a
 second overlay, and every branch left behind is checked never to see the
 edits made after it was taken.
+
+``commit()`` gets the same treatment: the committed base must equal a
+``copy()`` edited one call at a time, on set-mode and compact bases.
 """
 
 import numpy as np
@@ -34,9 +37,13 @@ person = st.integers(min_value=0, max_value=N_PEOPLE - 1)
 pair = st.tuples(person, person).filter(lambda uv: uv[0] != uv[1])
 skill = st.sampled_from(SKILLS + tuple(sorted(NET.skill_universe()))[:4])
 
+skill_edit = st.tuples(
+    st.sampled_from(["add_skill", "remove_skill", "cancel_skill"]), person, skill
+)
+edge_edit = st.tuples(st.sampled_from(["add_edge", "remove_edge", "cancel_edge"]), pair)
 edit = st.one_of(
-    st.tuples(st.sampled_from(["add_skill", "remove_skill", "cancel_skill"]), person, skill),
-    st.tuples(st.sampled_from(["add_edge", "remove_edge", "cancel_edge"]), pair),
+    skill_edit,
+    edge_edit,
     st.tuples(st.just("branch"), st.booleans()),
     st.tuples(st.just("coalition"), st.lists(st.booleans(), min_size=1, max_size=16)),
 )
@@ -64,7 +71,8 @@ def _held_features(overlay, bits):
 
 
 def _apply(overlay, step):
-    """One skill or edge edit, one call at a time."""
+    """One skill or edge edit, one call at a time (on an overlay or a
+    network — both expose the same edit calls)."""
     kind = step[0]
     if kind == "add_skill":
         overlay.add_skill(step[1], step[2])
@@ -119,6 +127,68 @@ def test_cached_flips_track_every_edit(steps):
             assert current.neighbors(p) == replay.neighbors(p)
         for overlay, flips in frozen:
             assert overlay.flips() == flips == _recomputed(overlay)
+
+
+#: Every content read of an overlay; each must check the base version.
+_READS = (
+    lambda ov: ov.flips(),
+    lambda ov: ov.skill_flips(),
+    lambda ov: ov.edge_flips(),
+    lambda ov: ov.skills(0),
+    lambda ov: ov.has_skill(0, "alpha"),
+    lambda ov: ov.neighbors(0),
+    lambda ov: ov.degree(0),
+    lambda ov: ov.has_edge(0, 1),
+    lambda ov: list(ov.edges()),
+    lambda ov: ov.people_with_skill("alpha"),
+    lambda ov: ov.skill_universe(),
+    lambda ov: ov.total_skill_assignments(),
+    lambda ov: ov.term_incidence(sorted(QUERY)),
+    lambda ov: ov.neighborhood(0, 1),
+    lambda ov: ov.materialize(),
+)
+
+
+@given(st.lists(st.one_of(skill_edit, edge_edit), max_size=20), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_commit_equals_one_call_replay(steps, compact):
+    """``commit()`` lands the overlay's flips as one sorted
+    :class:`BaseDelta` and one version bump (none when the edits
+    cancelled out), leaving the base equal to a ``copy()`` edited one
+    call at a time; a non-empty commit makes every read through this or
+    any other overlay over the old version raise."""
+    base = NET.copy()
+    if compact:
+        base.compact()
+    replay = base.copy()
+    overlay, sibling = NetworkOverlay(base), NetworkOverlay(base)
+    for step in steps:
+        _apply(overlay, step)
+        _apply(replay, step)
+    flips = overlay.flips()
+    version = base.version
+
+    delta = overlay.commit()
+
+    assert base.state_digest() == replay.state_digest()
+    assert list(delta.skill_flips) == sorted(delta.skill_flips)
+    assert list(delta.edge_flips) == sorted(delta.edge_flips)
+    assert flips == frozenset(
+        [("s", p, s, added) for p, s, added in delta.skill_flips]
+        + [("e", u, v, added) for u, v, added in delta.edge_flips]
+    )
+    assert delta.old_version == version
+    if delta.is_empty:
+        assert base.version == delta.new_version == version
+        for read in _READS:  # a no-op commit consumes nothing
+            read(overlay)
+            read(sibling)
+    else:
+        assert base.version == delta.new_version == version + 1
+        for read in _READS:
+            for stale in (overlay, sibling):
+                with pytest.raises(RuntimeError, match="frozen base"):
+                    read(stale)
 
 
 class _Unknown:

@@ -24,10 +24,10 @@ from repro.graph.perturbations import (
 )
 from repro.search import (
     DocumentExpertRanker,
+    GcnDeltaSession,
     HitsExpertRanker,
     PageRankExpertRanker,
     ProbeEngine,
-    ProbeSession,
 )
 
 
@@ -135,7 +135,7 @@ class TestDeltaScoringParity:
 
 
 class TestSessionInvalidation:
-    """ProbeSession and ProbeEngine caches are version-stamped."""
+    """GcnDeltaSession and ProbeEngine caches are version-stamped."""
 
     def test_session_rebuilt_on_base_mutation(self, small_embedding, small_dataset):
         from repro.search import GcnExpertRanker, GcnRankerConfig
@@ -149,7 +149,7 @@ class TestSessionInvalidation:
         overlay, q = apply_perturbations(net, query, [RemoveSkill(1, skill)])
         ranker.scores(q, overlay)
         first_session = ranker._session
-        assert isinstance(first_session, ProbeSession)
+        assert isinstance(first_session, GcnDeltaSession)
         assert first_session.valid_for(net)
 
         # Mutate the base: outstanding sessions must be invalidated and the
@@ -656,7 +656,7 @@ class TestLruEviction:
 
         monkeypatch.setattr(engine_mod, "_MAX_QUERY_CACHE", 2)
         net = small_dataset.network
-        session = ProbeSession(small_gcn_ranker, net)
+        session = GcnDeltaSession(small_gcn_ranker, net)
         overlay = NetworkOverlay(net)
         skills = sorted(net.skill_universe())
         hot, qa, qb = (frozenset({s}) for s in skills[:3])

@@ -20,9 +20,8 @@ and including annihilating add-then-remove pairs — and asserts
   ``SharedProbeContext.scores_multi`` equal per-query scoring and full
   rebuilds the same way,
 * mixed service workloads answer identically across per-call facade
-  invocation, deterministic single-thread ``explain_many``, sharded
-  execution, and sharded execution with a wide flush-bus window (probe
-  flushes from concurrent requests merged into fused kernel calls),
+  invocation, deterministic single-thread ``explain_many``, and sharded
+  execution,
 * randomized *committed* edit chains — ``overlay.commit()`` promoting
   flips into the base, live sessions rebased O(Δ) — score and form
   exactly as a fresh stack built from scratch on the committed network,
@@ -58,7 +57,6 @@ from repro.service import (
     FACADE_METHODS,
     EngineRegistry,
     ExplanationService,
-    FlushBus,
     explanation_signature,
     make_requests,
 )
@@ -649,15 +647,10 @@ class TestServiceFuzz:
             for request in requests
         ]
 
-        # Three service axes against the per-call reference: deterministic
-        # single-thread, sharded, and sharded with a wide flush-bus window
-        # (probe flushes from concurrent shards merge into fused kernel
-        # calls — composition-insensitive backends keep them bit-exact).
-        fused_bus = FlushBus(window=0.02)
-        for max_workers, bus in ((1, None), (4, None), (4, fused_bus)):
+        # Two service axes against the per-call reference: deterministic
+        # single-thread and sharded.
+        for max_workers in (1, 4):
             registry = EngineRegistry()
-            if bus is not None:
-                registry.flush_bus = bus
             service = ExplanationService(
                 network=net, ranker=ranker, embedding=embedding,
                 link_predictor=predictor, former=former, k=k,
@@ -669,14 +662,7 @@ class TestServiceFuzz:
             got = [
                 explanation_signature(r.request, r.explanation) for r in responses
             ]
-            label = f"max_workers={max_workers}, fused={bus is not None}"
-            assert got == reference, f"{label} diverged"
-            counters = registry.flush_counters()
-            if max_workers == 1:
-                # Deterministic mode keeps the bus disarmed: pure
-                # pass-through, nothing may merge.
-                assert counters["bus_flushes"] == 0
-                assert counters["bus_merged_flushes"] == 0
+            assert got == reference, f"max_workers={max_workers} diverged"
 
     @pytest.mark.parametrize("ranker_name", sorted(RANKERS))
     @pytest.mark.parametrize("seed", QUICK_SEEDS)

@@ -3,8 +3,8 @@
 mid-batch, never a traceback-crash of the server loop.
 
 Axes: malformed JSON, truncated and oversized frames, unknown frame
-types, unknown explanation kinds, mid-stream disconnects, and a seeded
-randomized frame-corruption fuzz (byte flips, deletions, insertions,
+types, unknown explanation kinds, non-finite numbers in integer fields,
+mid-stream disconnects, and a seeded randomized frame-corruption fuzz (byte flips, deletions, insertions,
 truncations against a valid batch frame).
 """
 
@@ -220,6 +220,48 @@ class TestTypedWireErrors:
             },
             expect_kind="InvalidRequest",
         )
+
+    # ``json`` writes ``float("inf")`` as the bare token ``Infinity``, which
+    # the server's decoder accepts; ``int()`` of it raises OverflowError.
+    def test_infinite_max_workers(self, wire):
+        service, net, _, _ = wire
+        reply = self._provoke(
+            wire,
+            frame={
+                "type": "batch",
+                "id": 4,
+                "requests": [_one_request(service, net)],
+                "max_workers": float("inf"),
+            },
+            expect_kind="InvalidRequest",
+        )
+        assert reply["id"] == 4
+
+    def test_infinite_person(self, wire):
+        service, net, _, _ = wire
+        request = _one_request(service, net)
+        request["person"] = float("inf")
+        reply = self._provoke(
+            wire,
+            frame={"type": "batch", "id": 5, "requests": [request]},
+            expect_kind="InvalidRequest",
+        )
+        assert reply["id"] == 5
+
+    def test_infinite_commit_flip(self, wire):
+        service, net, _, _ = wire
+        version = net.version
+        reply = self._provoke(
+            wire,
+            frame={
+                "type": "commit",
+                "id": 6,
+                "skill_flips": [[float("inf"), "__never", True]],
+            },
+            expect_kind="InvalidRequest",
+        )
+        assert reply["id"] == 6
+        assert net.version == version  # nothing committed
 
 
 class TestDisconnects:

@@ -96,9 +96,10 @@ class TestStreaming:
         assert summary["n_requests"] == len(requests)
         assert summary["outcomes"] == {"ok": len(requests)}
         assert summary["elapsed_seconds"] > 0
-        # ServiceStats snapshot + flush-bus fusion counters ride along.
+        # ServiceStats snapshot + engine flush counters ride along.
         assert any(key.startswith("outcome.") for key in summary["stats"])
-        assert "bus_flushes" in summary["fusion"]
+        for name in ("multi_flushes", "batch_flushes", "flushed_probes"):
+            assert name in summary["fusion"]
         assert all(r.outcome == "ok" for r in responses)
 
 

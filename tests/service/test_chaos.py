@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 
 import pytest
 
@@ -44,7 +43,6 @@ from repro.service import (
     ExplanationService,
     FaultInjector,
     FaultPlan,
-    FlushBus,
     ResilienceConfig,
     explanation_signature,
     fault_injection,
@@ -217,36 +215,6 @@ class TestChaosInvariants:
         assert all(r.outcome == "ok" for r in responses)
         if service.stats.get("delta_failure"):
             assert service.stats.get("fallback.full_rebuild") > 0
-
-
-class TestFusedFlushChaos:
-    """Faults around fused probe flushes must stay scoped to their own
-    request.  Budget charges and fault points fire on each participant's
-    thread *before* it joins a bus group, so a faulted participant never
-    contaminates the merged kernel call it would have ridden — its
-    group-mates complete parity-exact, and the faulted request degrades
-    (and is rescued) exactly as it would have flushing alone."""
-
-    @pytest.mark.parametrize("seed", (21, 22))
-    def test_fault_mid_fused_flush_degrades_only_faulted(
-        self, net, embedding, predictor, seed
-    ):
-        service = _service(net, embedding, predictor)
-        # A wide batching window so concurrent shards' flushes actually
-        # merge while the injector is firing.
-        service.registry.flush_bus = FlushBus(window=0.02)
-        requests = _workload(service, net)
-        reference = _reference_signatures(service, requests)
-        injector = FaultInjector(MIXED_PLAN, seed=seed)
-        with fault_injection(injector):
-            responses = service.explain_many(requests, max_workers=4)
-        _assert_chaos_invariants(responses, reference, injector)
-        # Retryable faults are rescued per-request: a fault landing on
-        # one fused-flush participant leaves the whole batch completing.
-        assert all(r.outcome == "ok" for r in responses)
-        # The bus was live during the chaos run (probe flushes routed
-        # through it), not silently bypassed.
-        assert service.stats.get("bus.flushes") > 0
 
 
 class TestTimeoutBound:
@@ -454,12 +422,11 @@ class TestCommitChaos:
         predictor = HeuristicLinkPredictor("common_neighbors").fit(net)
         return net, embedding, predictor
 
-    @pytest.mark.parametrize("workers,fused", ((4, False), (4, True)))
-    def test_commits_racing_shards(self, workers, fused):
+    # The id keeps the test's name from when it also ran a fused-flush case.
+    @pytest.mark.parametrize("workers", (4,), ids=["4-False"])
+    def test_commits_racing_shards(self, workers):
         net, embedding, predictor = self._private_stack()
         service = _service(net, embedding, predictor, "pagerank")
-        if fused:
-            service.registry.flush_bus = FlushBus(window=0.02)
         requests = _workload(service, net)
         v0 = service.network.version
         snap0 = network_to_dict(net)
@@ -525,57 +492,6 @@ class TestCommitChaos:
                     explanation_signature(response.request, response.explanation)
                     == reference[response.request]
                 ), f"answer does not match its stamped base v{version}"
-
-    def test_flush_bus_refuses_cross_version_fusion(self):
-        """Two concurrent flushes on the same session and query fuse into
-        one merged kernel call — unless a commit boundary moved the
-        session's base version between them, in which case the bus keys
-        them apart and both flush unfused.  (In the live service the gate
-        makes this window unreachable; the bus still refuses structurally.)"""
-        net = toy_network(n_people=12, seed=5)
-        ranker = PageRankExpertRanker()
-        query = frozenset(sorted(net.skill_universe())[:2])
-
-        def probe():
-            overlay = NetworkOverlay(net)
-            overlay.add_skill(1, "__fuse")
-            return overlay
-
-        def race(bump_version):
-            session = ranker.delta_session(net)
-            bus = FlushBus(window=0.3)
-            barrier = threading.Barrier(2)
-            results = {}
-
-            def runner(tag, leader):
-                with bus.armed():
-                    barrier.wait(timeout=5)
-                    if not leader:
-                        # Let the leader open its group and start waiting
-                        # out the window, then land the "commit".
-                        time.sleep(0.1)
-                        if bump_version:
-                            session.base_version += 1
-                    results[tag] = bus.submit_batch(session, query, [probe()])
-
-            threads = [
-                threading.Thread(target=runner, args=("a", True)),
-                threading.Thread(target=runner, args=("b", False)),
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-            assert all(not t.is_alive() for t in threads)
-            assert results["a"] is not None and results["b"] is not None
-            return bus
-
-        fused = race(bump_version=False)
-        assert fused.merged_flushes == 1, "control run did not fuse"
-        assert fused.fused_participants == 2
-        split = race(bump_version=True)
-        assert split.flushes == 2
-        assert split.merged_flushes == 0, "fused across a version boundary"
 
 
 class TestChaosOverTheWire:
