@@ -67,6 +67,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -117,6 +120,41 @@ from repro.service import (
     fault_injection,
 )
 from repro.team import CoverTeamFormer
+
+
+def host_block() -> dict:
+    """The machine and software stack a report was measured on, so two
+    reports can be compared knowing whether the host moved."""
+    import scipy
+
+    cpu = platform.processor() or "unknown"
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next(
+                (line.split(":", 1)[1].strip() for line in fh if line.startswith("model name")),
+                cpu,
+            )
+    except OSError:
+        pass
+    try:
+        commit = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT, capture_output=True, text=True, timeout=10
+        ).stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        commit = None
+    return {
+        "cpu_model": cpu,
+        "vcpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": {
+            name: os.environ.get(name)
+            for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+        "git_commit": commit,
+    }
+
 
 K = 10
 N_QUERIES = 3
@@ -1334,6 +1372,7 @@ def run_smoke() -> dict:
     )
     report = {
         "mode": "smoke",
+        "host": host_block(),
         "network": {
             "n_people": net.n_people,
             "n_edges": net.n_edges,
@@ -1434,6 +1473,7 @@ def main(huge: bool = False) -> dict:
     print(f"  {f_on_s:.2f}s, {f_on_evals} evaluations", flush=True)
 
     report = {
+        "host": host_block(),
         "network": {
             "n_people": net.n_people,
             "n_edges": net.n_edges,

@@ -1,7 +1,10 @@
 """Gate the probe-engine bench smoke report.
 
-Three checks over ``BENCH_probe_engine.smoke.json``:
+Four checks over ``BENCH_probe_engine.smoke.json``:
 
+* **host** — the report names the machine and stack it was measured on
+  (CPU model, vCPU count, Python/numpy/scipy versions, BLAS thread
+  variables, git commit);
 * **edit storm** — rebased answers bit-identical to a fresh rebuild,
   steady-state speedup over cold starts, memo entries retained;
 * **scale rows** — the 1e3/1e4 smoke tiers stay compact, every probe
@@ -24,6 +27,19 @@ import sys
 from pathlib import Path
 
 DEFAULT_REPORT = Path(__file__).resolve().parent.parent / "BENCH_probe_engine.smoke.json"
+
+
+def check_host(report: dict) -> None:
+    host = report["host"]
+    assert isinstance(host["cpu_model"], str) and host["cpu_model"], host
+    assert isinstance(host["vcpus"], int) and host["vcpus"] >= 1, host
+    for package in ("python", "numpy", "scipy"):
+        assert isinstance(host[package], str) and host[package], (package, host)
+    assert set(host["blas_threads"]) == {
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
+    }, host
+    assert "git_commit" in host, host
+    print(f"host OK: {host['cpu_model']}, {host['vcpus']} vCPU, git {host['git_commit']}")
 
 
 def check_edit_storm(report: dict) -> None:
@@ -77,6 +93,7 @@ def main(argv) -> None:
         sys.exit("check_bench.py gates with assert statements; run it without -O")
     path = Path(argv[1]) if len(argv) > 1 else DEFAULT_REPORT
     report = json.loads(path.read_text(encoding="utf-8"))
+    check_host(report)
     check_edit_storm(report)
     check_scale_rows(report)
     check_service_latency(report)

@@ -303,6 +303,7 @@ class NetworkOverlay:
 
     @property
     def n_edges(self) -> int:
+        self._check_base()
         return self._n_edges
 
     def people(self) -> range:

@@ -214,7 +214,7 @@ class CoverTeamDeltaSession(TeamDeltaSession):
         check_budget()
         fault_point(
             "team.form",
-            key=(tuple(sorted(query)), seed_member),
+            key=lambda: (tuple(sorted(query)), seed_member),
             engine=self,
         )
         if scores is None:

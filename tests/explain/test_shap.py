@@ -374,8 +374,9 @@ class TestPrefetchFill:
 
 
 def _reference_lasso(design, response, weights, alpha, beta=None, max_iter=60, tol=1e-7):
-    """The coordinate descent with numpy scalars throughout — the loop
-    ``_lasso_coordinate_descent`` must reproduce bit for bit."""
+    """Cyclic coordinate descent with numpy scalars: the oracle the exact
+    solver is checked against once run to convergence (``max_iter`` 1e5,
+    ``tol`` 1e-14)."""
     n, m = design.shape
     beta = np.zeros(m) if beta is None else beta.copy()
     wx = weights[:, None] * design
@@ -407,21 +408,106 @@ def _reference_lasso(design, response, weights, alpha, beta=None, max_iter=60, t
     return beta
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_lasso_matches_reference_bitwise(seed):
-    """Along a warm-started regularization path, as the AIC support
-    selection walks it, on coalition-shaped 0/1 designs."""
-    from repro.explain.shap import _lasso_coordinate_descent
+_ALPHA_FACTORS = (0.25, 0.1, 0.05, 0.02, 0.01, 0.003)
 
+
+def _lasso_design(seed):
+    """A random 0/1 coalition design; ``seed % 5`` picks its trap: a 0/1
+    response under uniform weights (many columns tie at alpha_max), more
+    features than coalitions, duplicate columns, eight coalitions, or
+    plain random weights."""
     rng = np.random.default_rng(seed)
-    n, m = int(rng.integers(20, 120)), int(rng.integers(5, 60))
-    design = (rng.random((n, m)) < 0.5).astype(float)
-    design[:, int(rng.integers(0, m))] = 0.0  # a coordinate with no mass
-    weights = rng.random(n)
-    response = (rng.random(n) < 0.5) - 0.5 + design[:, :3].sum(axis=1) * 0.1
+    kind = seed % 5
+    n, m = int(rng.integers(8, 48)), int(rng.integers(3, 32))
+    if kind == 1:
+        n = int(rng.integers(8, 16))
+        m = int(rng.integers(n + 1, 2 * n + 4))
+    elif kind == 3:
+        n = 8
+    design = (rng.random((n, m)) < rng.uniform(0.2, 0.8)).astype(float)
+    if kind == 2:
+        k = int(rng.integers(1, max(2, m // 3)))
+        design[:, rng.integers(0, m, size=k)] = design[:, rng.integers(0, m, size=k)]
+    if kind in (0, 3) or rng.random() < 0.3:
+        weights = np.full(n, 1.0 / n)
+    else:
+        weights = rng.random(n) + 0.05
+    if kind in (0, 3):
+        response = (rng.random(n) < 0.5).astype(float)
+    else:
+        response = design[:, : min(3, m)].sum(axis=1) * rng.normal() + rng.normal(size=n) * 0.5
+    return design, response, weights
+
+
+def _lasso_objective(design, response, weights, alpha, beta):
+    resid = response - design @ beta
+    return 0.5 * float(weights @ (resid * resid)) + alpha * float(np.abs(beta).sum())
+
+
+def _kkt_violation(design, response, weights, alpha, beta):
+    """Largest breach of the lasso optimality conditions, relative to
+    alpha: grad_j = alpha*sign(beta_j) on the support, |grad_j| <= alpha
+    off it."""
+    grad = (weights[:, None] * design).T @ (response - design @ beta)
+    on = beta != 0
+    return max(
+        float(np.abs(grad[on] - alpha * np.sign(beta[on])).max(initial=0.0)),
+        float((np.abs(grad[~on]) - alpha).max(initial=0.0)),
+    ) / alpha
+
+
+@pytest.mark.parametrize(
+    "seed", list(range(10)) + [pytest.param(s, marks=pytest.mark.slow) for s in range(10, 310)]
+)
+def test_lasso_is_exact(seed):
+    """Along the warm-started six-alpha path the AIC selection walks, the
+    active-set solve satisfies the KKT conditions, reaches the optimum a
+    converged coordinate descent reaches, and where the design has full
+    column rank (a unique optimum) lands on the same point."""
+    from repro.explain.shap import _lasso_active_set
+
+    design, response, weights = _lasso_design(seed)
     alpha_max = float(np.abs((weights[:, None] * design).T @ response).max())
+    full_rank = np.linalg.matrix_rank(design * np.sqrt(weights)[:, None]) == design.shape[1]
     got = want = None
-    for factor in (0.25, 0.1, 0.05, 0.02, 0.01, 0.003):
-        got = _lasso_coordinate_descent(design, response, weights, alpha_max * factor, beta=got)
-        want = _reference_lasso(design, response, weights, alpha_max * factor, beta=want)
-        assert got.tobytes() == want.tobytes()
+    for factor in _ALPHA_FACTORS:
+        alpha = alpha_max * factor
+        got = _lasso_active_set(design, response, weights, alpha, beta=got)
+        want = _reference_lasso(design, response, weights, alpha, beta=want, max_iter=100_000, tol=1e-14)
+        assert _kkt_violation(design, response, weights, alpha, got) <= 1e-9
+        reached = _lasso_objective(design, response, weights, alpha, want)
+        assert _lasso_objective(design, response, weights, alpha, got) == pytest.approx(reached, rel=1e-10)
+        if full_rank:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+
+def test_lasso_ties_at_alpha_max():
+    """Duplicated columns tie at alpha_max; the solve keeps the lowest
+    index and stays deterministic."""
+    from repro.explain.shap import _lasso_active_set
+
+    rng = np.random.default_rng(0)
+    base = (rng.random((24, 4)) < 0.5).astype(float)
+    design = base[:, [0, 0, 1, 1, 2, 3, 0]]
+    response = base[:, 0] * 2.0 + base[:, 1]
+    weights = np.full(24, 1 / 24)
+    alpha_max = float(np.abs((weights[:, None] * design).T @ response).max())
+    beta = _lasso_active_set(design, response, weights, 0.25 * alpha_max)
+    assert _kkt_violation(design, response, weights, 0.25 * alpha_max, beta) <= 1e-9
+    assert beta[0] > 0 and beta[1] == beta[6] == 0.0
+    again = _lasso_active_set(design, response, weights, 0.25 * alpha_max)
+    assert beta.tobytes() == again.tobytes()
+
+
+def test_hub_sized_auto_selection_stays_fast():
+    """A hub's neighbourhood: thousands of features over 32 coalitions,
+    most columns far outside the span of the rest."""
+    m = 2_500
+    coef = np.zeros(m)
+    coef[[3, 70, 900, 2_001]] = [1.0, -2.0, 0.5, 3.0]
+    start = time.perf_counter()
+    result = kernel_shap(linear_fn(coef), m, n_samples=16, max_samples=32)
+    assert time.perf_counter() - start < 10.0
+    assert result.n_evaluations <= 34
+    assert result.values.sum() == pytest.approx(result.full_value - result.base_value, abs=1e-9)
+    assert 0 < len(result.nonzero_indices()) <= 32

@@ -143,6 +143,7 @@ _READS = (
     lambda ov: ov.people_with_skill("alpha"),
     lambda ov: ov.skill_universe(),
     lambda ov: ov.total_skill_assignments(),
+    lambda ov: ov.n_edges,
     lambda ov: ov.term_incidence(sorted(QUERY)),
     lambda ov: ov.neighborhood(0, 1),
     lambda ov: ov.materialize(),

@@ -16,6 +16,8 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.explain.serialize import request_from_dict, request_to_dict
 from repro.serve import MalformedFrame, ServeClient
@@ -110,6 +112,65 @@ class TestFrameReader:
         first, second = asyncio.run(scenario())
         assert first == b'{"type":"ping"}'
         assert second is None
+
+
+class _ChunkReader:
+    """A stream that hands out one prepared chunk per ``read()``, then EOF."""
+
+    def __init__(self, chunks):
+        self._chunks = list(chunks)
+
+    async def read(self, n):
+        return self._chunks.pop(0) if self._chunks else b""
+
+
+_LIMIT = 48
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_item = st.one_of(
+    st.builds(lambda t, body: ("frame", {"type": t, "body": body}), st.text(max_size=8), _json),
+    st.sampled_from([("blank", b"\n"), ("blank", b"  \n"), ("blank", b"\t\n")]),
+    st.integers(_LIMIT + 1, 3 * _LIMIT).map(lambda k: ("oversized", b"z" * k + b"\n")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    items=st.lists(_item, max_size=12),
+    tail=st.sampled_from([b"", b'{"type":"tr', b"z" * (2 * _LIMIT)]),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=24),
+)
+def test_frame_reader_under_arbitrary_byte_splits(items, tail, cuts):
+    """Encoded frames, keepalive blanks and over-limit lines, joined and
+    cut at arbitrary offsets: ``next_line`` yields every frame in order
+    and OVERSIZED once per over-limit line (also when its bytes span reads
+    and its newline arrives with the next frame), then None at EOF; a
+    truncated final line closes cleanly."""
+    lines, expected = [], []
+    for kind, payload in items:
+        line = encode_frame(payload) if kind == "frame" else payload
+        lines.append(line)
+        if kind == "oversized" or len(line) - 1 > _LIMIT:
+            expected.append(OVERSIZED)
+        elif kind == "frame":
+            expected.append(line[:-1])
+            assert decode_frame(line[:-1]) == payload
+    data = b"".join(lines) + tail
+    offsets = sorted({int(c * len(data)) for c in cuts} - {0, len(data)})
+    bounds = [0] + offsets + [len(data)]
+    chunks = [data[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+    async def drain():
+        reader = FrameReader(_ChunkReader(chunks), _LIMIT)
+        out = []
+        while (line := await reader.next_line()) is not None:
+            out.append(line)
+        return out
+
+    assert asyncio.run(drain()) == expected
 
 
 def _one_request(service, net):
