@@ -5,7 +5,7 @@ Four checks over ``BENCH_probe_engine.smoke.json``:
 * **host** — the report names the machine and stack it was measured on
   (CPU model, vCPU count, Python/numpy/scipy versions, BLAS thread
   variables, git commit);
-* **edit storm** — rebased answers bit-identical to a fresh rebuild,
+* **edit storm** — post-commit answers bit-identical to a fresh rebuild,
   steady-state speedup over cold starts, memo entries retained;
 * **scale rows** — the 1e3/1e4 smoke tiers stay compact, every probe
   state is accounted to one plan mode, exact plans hold 1e-9 and sampled

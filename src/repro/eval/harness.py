@@ -470,7 +470,8 @@ def run_edit_storm_experiment(
     commits genuinely race ``explain_many`` shards through the service's
     version gate, and every response still lands on exactly one base
     version.  The synthetic skill never appears in any query, so the
-    rebased sessions keep their warm caches across every commit.
+    memoized scores and decisions survive every commit (the delta
+    sessions are rebuilt on the first probe after each).
 
     Returns ``(report, commits)`` — the usual :class:`WorkloadReport`
     plus the :class:`~repro.service.service.CommitResult` list (fewer

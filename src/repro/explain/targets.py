@@ -64,6 +64,12 @@ class DecisionTarget(abc.ABC):
         default ignores the hint and re-derives everything."""
         return self.decide_with_order(person, query, network)
 
+    def memo_survives(self, delta, query) -> bool:
+        """Are this target's decisions for ``query`` provably unchanged by
+        the committed ``delta``, under any probe flip set?  Asked of the
+        system that decides; the default retains nothing."""
+        return False
+
     @property
     @abc.abstractmethod
     def ranker(self) -> ExpertSearchSystem:
@@ -95,6 +101,9 @@ class RelevanceTarget(DecisionTarget):
         # never drift apart.
         rank = results.rank_of(person)
         return (rank <= self.k, float(rank))
+
+    def memo_survives(self, delta, query) -> bool:
+        return self.system.memo_survives(delta, query)
 
     @property
     def ranker(self) -> ExpertSearchSystem:
@@ -137,6 +146,9 @@ class MembershipTarget(DecisionTarget):
         else:  # former predates the scores= hook
             team = self.former.form(query, network, seed_member=self.seed_member)
         return (person in team, float(results.rank_of(person)))
+
+    def memo_survives(self, delta, query) -> bool:
+        return self.former.memo_survives(delta, query)
 
     @property
     def ranker(self) -> ExpertSearchSystem:

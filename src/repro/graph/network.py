@@ -56,11 +56,12 @@ class BaseDelta:
     """The structured record of one committed base-network edit batch.
 
     Emitted by :meth:`~repro.graph.overlay.NetworkOverlay.commit` when an
-    overlay's flips are promoted into the base network in place.  Delta
-    sessions and registries consume it to *rebase* cached operators,
-    features, and memos O(Δ) instead of cold-starting on the version bump:
-    every field is in the canonical flip shape the overlay already exposes,
-    sorted for deterministic iteration.
+    overlay's flips are promoted into the base network in place.  The
+    engine registry reads it to decide which memoized scores and
+    decisions cross the version bump (each system's ``memo_survives``);
+    delta sessions never cross it.  Every field is in the canonical flip
+    shape the overlay already exposes, sorted for deterministic
+    iteration.
 
     ``skill_flips`` holds ``(person, skill, added)`` triples and
     ``edge_flips`` holds ``(u, v, added)`` with ``u < v`` — exactly the
@@ -77,23 +78,9 @@ class BaseDelta:
         return not self.skill_flips and not self.edge_flips
 
     @property
-    def touched_people(self) -> FrozenSet[int]:
-        """Every person a flip touches directly (skill holder or edge
-        endpoint) — the 0-hop dependency cone."""
-        out: Set[int] = {p for p, _, _ in self.skill_flips}
-        for u, v, _ in self.edge_flips:
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
-
-    @property
     def skills_changed(self) -> FrozenSet[str]:
         """Skill names whose holder sets changed."""
         return frozenset(s for _, s, _ in self.skill_flips)
-
-    def edge_pairs(self) -> Tuple[Tuple[int, int], ...]:
-        """The flipped edges, endpoints only."""
-        return tuple((u, v) for u, v, _ in self.edge_flips)
 
 
 class CollaborationNetwork:

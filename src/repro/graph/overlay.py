@@ -146,9 +146,9 @@ class NetworkOverlay:
         The base applies every recorded flip atomically and bumps its
         version exactly once; the returned
         :class:`~repro.graph.network.BaseDelta` describes the old→new
-        transition in canonical flip form, ready for delta sessions and
-        registries to rebase O(Δ).  A flip-free overlay commits as a
-        no-op (no version bump, empty delta).
+        transition in canonical flip form, ready for the engine registry
+        to carry memoized answers across.  A flip-free overlay commits as
+        a no-op (no version bump, empty delta).
 
         A non-empty commit *consumes* the overlay: its recorded base
         version is now stale, so any further read or mutation through it

@@ -133,6 +133,16 @@ class ExpertSearchSystem(abc.ABC):
         then score through the plain path, which may materialize)."""
         return None
 
+    def memo_survives(self, delta, query: Query) -> bool:
+        """Are this system's scores for ``query`` provably unchanged by the
+        committed :class:`~repro.graph.network.BaseDelta` ``delta``?
+
+        Memo keys carry arbitrary probe flips, so the answer must hold
+        under *any* flip set over the new base.  Read by
+        ``EngineRegistry.rebase`` to decide which memoized score vectors
+        cross a commit; the conservative default retains nothing."""
+        return False
+
     def _session_for(self, base: CollaborationNetwork):
         """The cached delta session for ``base``, rebuilt on version drift.
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.graph.network import CollaborationNetwork
 from repro.graph.overlay import NetworkOverlay
-from repro.graph.perturbations import as_query
+from repro.graph.perturbations import Query, as_query
 from repro.search.base import ExpertSearchSystem
 from repro.search.engine import TfidfDeltaSession
 from repro.text.corpus import ExpertiseCorpus
@@ -75,6 +75,11 @@ class DocumentExpertRanker(ExpertSearchSystem):
 
     def delta_session(self, base: CollaborationNetwork) -> TfidfDeltaSession:
         return TfidfDeltaSession(self, base)
+
+    def memo_survives(self, delta, query: Query) -> bool:
+        """The document ranker carries no graph signal at all, so a pure
+        edge commit cannot move any score, for any probe flip set."""
+        return not delta.skill_flips
 
     def scores(self, query: Iterable[str], network: CollaborationNetwork) -> np.ndarray:
         query = as_query(query)

@@ -313,12 +313,6 @@ def _flip_csr(
     )
 
 
-def _committed_flips(delta) -> Dict[Tuple[int, int], bool]:
-    """A committed :class:`~repro.graph.network.BaseDelta`'s edge flips in
-    the ``(u, v) -> added`` form overlays record them in."""
-    return {(u, v): added for u, v, added in delta.edge_flips}
-
-
 def _edge_key(edge_flips: Dict[Tuple[int, int], bool]) -> FrozenSet:
     """Hashable identity of an overlay's edge-flip set — the cache key for
     every adjacency-side patch a session computes."""
@@ -348,59 +342,23 @@ class DeltaSession(abc.ABC):
         # cost hints) stay stable for its whole lifetime even if the
         # process-wide backend is swapped mid-run.
         self.backend = get_backend()
-        # (matrix, its _csr_keys) of the last CSR edge flips were applied to
-        self._flip_keys: Optional[Tuple[sp.csr_matrix, np.ndarray]] = None
+        # _csr_keys of the one base CSR this session flips edges on
+        self._flip_keys: Optional[np.ndarray] = None
 
     def _flipped_csr(
         self, adj: sp.csr_matrix, edge_flips: Dict[Tuple[int, int], bool]
     ) -> sp.csr_matrix:
-        """``adj`` with ``edge_flips`` applied (:func:`_flip_csr`).  The
-        position keys are kept per matrix object, so a rebase that swaps
-        in a new base matrix gets fresh keys on its next flip."""
-        cached = self._flip_keys
-        if cached is None or cached[0] is not adj:
-            cached = self._flip_keys = (adj, _csr_keys(adj))
-        return _flip_csr(adj, cached[1], edge_flips)
+        """``adj`` with ``edge_flips`` applied (:func:`_flip_csr`).  ``adj``
+        is the session's base CSR, fixed for the session's whole life, so
+        its position keys are computed once, on the first flip."""
+        if self._flip_keys is None:
+            self._flip_keys = _csr_keys(adj)
+        return _flip_csr(adj, self._flip_keys, edge_flips)
 
     def valid_for(self, base: CollaborationNetwork) -> bool:
         """Is this session still usable for ``base``?  False once the base
         mutates (version drift)."""
         return base is self.base and base.version == self.base_version
-
-    # ------------------------------------------------------------------
-    # base-commit rebasing
-    # ------------------------------------------------------------------
-    def memo_survives(self, delta, query: Query) -> bool:
-        """Does a score-memo entry for ``query`` provably survive the
-        committed ``delta``?
-
-        True only when the delta cannot change this ranker's scores for
-        ``query`` under *any* probe flip set over the new base — memo keys
-        carry arbitrary flips, so per-entry reasoning must hold for all of
-        them.  The conservative default retains nothing."""
-        return False
-
-    def rebase(self, delta) -> bool:
-        """Patch this session's caches O(Δ) onto the committed base.
-
-        ``delta`` is the :class:`~repro.graph.network.BaseDelta` the
-        commit emitted; the shared base network object already carries the
-        new state.  Returns True when the session now serves the new
-        version (caches retained wherever provably still valid), False
-        when it declines — the caller drops it and a fresh session is
-        built on demand.  The default declines."""
-        return False
-
-    def _rebase_applies(self, delta) -> bool:
-        """The delta spans exactly this session's (old → current base)
-        versions — the precondition every ``rebase`` checks first."""
-        return (
-            self.base.version == delta.new_version
-            and self.base_version == delta.old_version
-        )
-
-    def _accept_rebase(self, delta) -> None:
-        self.base_version = delta.new_version
 
     # ------------------------------------------------------------------
     # warm-state spill/restore
@@ -557,121 +515,6 @@ class GcnDeltaSession(DeltaSession):
     def valid_for(self, base: CollaborationNetwork) -> bool:
         """Also invalid once the ranker was refit (new vocabulary)."""
         return super().valid_for(base) and self.ranker._feature_vocab is self._vocab
-
-    # ------------------------------------------------------------------
-    # base-commit rebasing
-    # ------------------------------------------------------------------
-    def memo_survives(self, delta, query: Query) -> bool:
-        """GCN scores read the graph (any edge flip propagates) and, per
-        person, only ``skills ∩ vocab`` (centroid columns) and ``skills ∩
-        query`` (the match feature) — so a commit whose skill flips all
-        miss both the training vocabulary and the query leaves every
-        feature row, and therefore every score, bit-identical."""
-        if delta.edge_flips:
-            return False
-        changed = delta.skills_changed
-        if changed & query:
-            return False
-        return all(s not in self._vocab for s in changed)
-
-    def rebase(self, delta) -> bool:
-        """Splice the committed edit's 2-hop receptive field through the
-        cached forwards instead of cold-starting them.
-
-        The feature space (``_vocab``/``_fm``) is training-frozen and
-        network-independent, so it never needs patching; edge flips
-        re-derive the propagation operator through the same ``_normalize``
-        the constructor used (identical inputs, identical output), and
-        every cached per-query forward is refreshed only inside the
-        delta's 2-hop ball — the same cone argument as
-        :meth:`_restricted_scores`, anchored on the post-commit adjacency
-        (flipped-edge endpoints are in the seed set, so the new-adjacency
-        ball covers every row an old-adjacency coupling could reach)."""
-        if not self._rebase_applies(delta):
-            return False
-        if delta.is_empty:
-            self._accept_rebase(delta)
-            return True
-        if delta.edge_flips:
-            self._a_hat = self._flipped_csr(self._a_hat, _committed_flips(delta))
-            for u, v, added in delta.edge_flips:
-                w = 1.0 if added else -1.0
-                self._deg[u] += w
-                self._deg[v] += w
-            self._adj_norm = _normalize(self._a_hat, self._deg)
-            # Probe-side patched operators were deltas on the old base.
-            self._adj_cache.clear()
-        self._refresh_queries(delta)
-        self._accept_rebase(delta)
-        return True
-
-    def _refresh_queries(self, delta) -> None:
-        """Refresh the cached per-query feature rows of skill-flipped
-        people and splice the cached forwards inside the edit's cone."""
-        base = self.base
-        n = base.n_people
-        skill_touched = sorted({p for p, _, _ in delta.skill_flips})
-        dim = self._fm.shape[1]
-        if skill_touched:
-            for query in self._feat_cache.keys():
-                hit = self._feat_cache.get(query)
-                if hit is None:
-                    continue
-                feats, q_vec = hit
-                # Copy before patching: cached arrays may still be
-                # referenced by callers of ``probe_inputs``.
-                feats = feats.copy()
-                for p in skill_touched:
-                    centroid, match, sim = self._feature_row_values(
-                        base.skills(p), query, q_vec
-                    )
-                    feats[p, :dim] = centroid
-                    feats[p, dim] = match
-                    feats[p, dim + 1] = sim
-                self._feat_cache.put(query, (feats, q_vec))
-        touched = delta.touched_people
-        ball1 = set(touched)
-        for p in touched:
-            ball1 |= base.neighbors(p)
-        ball2 = set(ball1)
-        for p in ball1:
-            ball2 |= base.neighbors(p)
-        rows1 = np.asarray(sorted(ball1), dtype=np.int64)
-        rows2 = np.asarray(sorted(ball2), dtype=np.int64)
-        drop_all = len(ball2) > max(_BATCH_GROUP, int(n * _RESTRICT_MAX_FRACTION))
-        scorer = self.ranker._scorer
-        be = self.backend
-        adj = self._adj_norm
-        srows = np.asarray(skill_touched, dtype=np.int64)
-        for query in self._fwd_cache.keys():
-            entry = self._fwd_cache.get(query)
-            if entry is None:
-                continue
-            feat = self._feat_cache.get(query) if skill_touched else True
-            if drop_all or feat is None:
-                self._fwd_cache.pop(query)
-                continue
-            base_xw1, base_h1w2, base_scores = entry
-            xw1 = base_xw1.copy()
-            if skill_touched:
-                feats, _ = feat
-                xw1[srows] = be.matmul(feats[srows], scorer.conv1.weight.data)
-            z1 = be.spmm(adj[rows1], xw1)
-            if scorer.conv1.bias is not None:
-                z1 = z1 + scorer.conv1.bias.data
-            h1_rows = z1 * (z1 > 0)
-            h1w2 = base_h1w2.copy()
-            h1w2[rows1] = be.matmul(h1_rows, scorer.conv2.weight.data)
-            z2 = be.spmm(adj[rows2], h1w2)
-            if scorer.conv2.bias is not None:
-                z2 = z2 + scorer.conv2.bias.data
-            h2_rows = z2 * (z2 > 0)
-            out_rows = be.matmul(h2_rows, scorer.head.weight.data)
-            if scorer.head.bias is not None:
-                out_rows = out_rows + scorer.head.bias.data
-            out = base_scores.copy()
-            out[rows2] = out_rows.reshape(-1)
-            self._fwd_cache.put(query, (xw1, h1w2, out))
 
     # ------------------------------------------------------------------
     # probing
@@ -974,11 +817,11 @@ class GcnDeltaSession(DeltaSession):
         """(centroid, match fraction, query similarity) of one person's
         feature row, derived from their full skill set.
 
-        The one kernel both probe patches and base-commit refreshes go
-        through: the row is recomputed from the person's embedding rows in
-        sorted column order, summed from +0.0 one row after another —
-        bit for bit the accumulation of the sparse incidence product that
-        built the base sums — instead of adding/subtracting embedding rows
+        The kernel every probe patch goes through: the row is recomputed
+        from the person's embedding rows in sorted column order, summed
+        from +0.0 one row after another — bit for bit the accumulation of
+        the sparse incidence product that built the base sums — instead
+        of adding/subtracting embedding rows
         on a cached sum: incremental subtraction leaves ~1e-16 residue
         that the ``max(norm, 1e-12)`` division below can amplify past the
         1e-9 parity contract when a person's in-vocab skills all cancel."""
@@ -1052,6 +895,7 @@ class PageRankDeltaSession(DeltaSession):
         super().__init__(ranker, base)
         self._adj = base.adjacency_csr()
         self._out_degree = np.asarray(self._adj.sum(axis=1)).ravel()
+        self._dangling = np.flatnonzero(self._out_degree == 0)
         # query -> (restart counts, base solution or None, converged)
         self._query_cache = _LruCache(_MAX_QUERY_CACHE)
         # edge-flip set -> (patched adjacency, patched out-degrees): shared
@@ -1064,54 +908,6 @@ class PageRankDeltaSession(DeltaSession):
         self._solution_cache = _LruCache(_MAX_SEMANTIC_CACHE)
 
     _SPILL_CACHES = ("_query_cache", "_op_cache", "_solution_cache")
-
-    def memo_survives(self, delta, query: Query) -> bool:
-        """A committed skill flip outside the query's terms leaves every
-        restart vector — and so every walk over the unchanged operator —
-        untouched, for *any* probe flip set over the new base."""
-        return not delta.edge_flips and not (delta.skills_changed & query)
-
-    def rebase(self, delta) -> bool:
-        """Skill-only commits just evict the queries whose restart counts
-        read a changed skill (everything retained stays bit-exact); edge
-        commits patch the transition operator ±1 and eagerly warm-restart
-        the retained queries' base solutions from their old converged
-        iterates, keeping parity inside the tolerance band."""
-        if not self._rebase_applies(delta):
-            return False
-        changed = delta.skills_changed
-        for query in self._query_cache.keys():
-            if changed & query:
-                self._query_cache.pop(query)
-        if delta.edge_flips:
-            adj = self._flipped_csr(self._adj, _committed_flips(delta))
-            out_degree = self._out_degree.copy()
-            for u, v, added in delta.edge_flips:
-                w = 1.0 if added else -1.0
-                out_degree[u] += w
-                out_degree[v] += w
-            self._adj = adj
-            self._out_degree = out_degree
-            # Patched operators and solved walks were keyed against the
-            # *old* operator (``ekey = frozenset()`` meant the old base) —
-            # all stale once the base adjacency itself moves.
-            self._op_cache.clear()
-            self._solution_cache.clear()
-            for query in self._query_cache.keys():
-                hit = self._query_cache.get(query)
-                if hit is None:
-                    continue
-                counts, solution, converged = hit
-                restart = self._restart_from_counts(counts, len(query))
-                if restart is None:
-                    continue  # (counts, None, True) stays correct
-                warm = solution if converged else None
-                solution, converged = self.ranker._power_iteration(
-                    restart, adj, out_degree, warm_start=warm
-                )
-                self._query_cache.put(query, (counts, solution, converged))
-        self._accept_rebase(delta)
-        return True
 
     def _patched_operator(
         self, edge_flips: Dict[Tuple[int, int], bool]
@@ -1166,17 +962,6 @@ class PageRankDeltaSession(DeltaSession):
             order = np.argsort(cols, kind="stable")
             cols, vals = cols[order], vals[order]
         return cols, vals
-
-    def _base_dangling(self) -> np.ndarray:
-        """Indices of base dangling nodes, cached per operator identity
-        (a rebase swaps ``_out_degree`` wholesale, invalidating by
-        object)."""
-        cached = getattr(self, "_dangling_cache", None)
-        if cached is None or cached[0] is not self._out_degree:
-            idx = np.flatnonzero(self._out_degree == 0)
-            self._dangling_cache = (self._out_degree, idx)
-            return idx
-        return cached[1]
 
     @staticmethod
     def _restart_from_counts(
@@ -1379,7 +1164,7 @@ class PageRankDeltaSession(DeltaSession):
                 seed[self._adj.indices[s1:e1]] -= (
                     d * pu / self._out_degree[u]
                 ) * self._adj.data[s1:e1]
-        dang_idx = self._base_dangling()
+        dang_idx = self._dangling
         dang0 = float(p0[dang_idx].sum()) if dang_idx.size else 0.0
         dang_p = dang0
         for u in touched:
@@ -1521,44 +1306,6 @@ class HitsDeltaSession(DeltaSession):
 
     _SPILL_CACHES = ("_query_cache", "_adj_cache", "_auth_cache")
 
-    def memo_survives(self, delta, query: Query) -> bool:
-        """Root sets, support counts, and the sliced authority runs all
-        derive from query-term holdings and the adjacency; a commit that
-        touches neither leaves every probe over the query unchanged."""
-        return not delta.edge_flips and not (delta.skills_changed & query)
-
-    def rebase(self, delta) -> bool:
-        """Queries whose terms a skill flip touched go cold; every other
-        retained support vector absorbs the committed edge flips as
-        ``support' = support + ΔA·ind`` — all small exact integers in
-        float, so the patched counts match a fresh
-        ``ind + spmv(adj', ind)`` build bit-for-bit."""
-        if not self._rebase_applies(delta):
-            return False
-        changed = delta.skills_changed
-        for query in self._query_cache.keys():
-            if changed & query:
-                self._query_cache.pop(query)
-        if delta.edge_flips:
-            for query in self._query_cache.keys():
-                hit = self._query_cache.get(query)
-                if hit is None:
-                    continue
-                ind, support, match_counts = hit
-                support = support.copy()
-                for u, v, added in delta.edge_flips:
-                    w = 1.0 if added else -1.0
-                    support[u] += w * ind[v]
-                    support[v] += w * ind[u]
-                self._query_cache.put(query, (ind, support, match_counts))
-            self._adj = self._flipped_csr(self._adj, _committed_flips(delta))
-            # Probe-side adjacency patches and authority runs were keyed
-            # by flip sets over the old adjacency — stale.
-            self._adj_cache.clear()
-            self._auth_cache.clear()
-        self._accept_rebase(delta)
-        return True
-
     def _base_state(self, query: Query):
         hit = self._query_cache.get(query)
         if hit is None:
@@ -1593,13 +1340,38 @@ class HitsDeltaSession(DeltaSession):
             self._auth_cache.put(akey, hit)
         return hit
 
-    def _probe_state(
+    def _patched_support(
+        self,
+        support: np.ndarray,
+        ind: np.ndarray,
+        delta_ind: Dict[int, float],
+        edge_flips: Dict[Tuple[int, int], bool],
+    ) -> np.ndarray:
+        """support' = support + Δind + A·Δind + ΔA·ind'   (all counts are
+        small integers in float, so every update below is exact)."""
+        if not delta_ind and not edge_flips:
+            return support
+        support = support.copy()
+        indptr, indices = self._adj.indptr, self._adj.indices
+        for p, d in delta_ind.items():
+            support[p] += d
+            support[indices[indptr[p] : indptr[p + 1]]] += d
+        for (u, v), added in edge_flips.items():
+            w = 1.0 if added else -1.0
+            support[u] += w * (ind[v] + delta_ind.get(v, 0.0))
+            support[v] += w * (ind[u] + delta_ind.get(u, 0.0))
+        return support
+
+    def _probe(
         self, query: Query, overlay: NetworkOverlay
-    ) -> Tuple[np.ndarray, np.ndarray, Dict[int, float]]:
-        """(base root indicator, patched match counts, root indicator
-        deltas) for one probe — the O(Δ) root-set bookkeeping shared by
-        the sequential and batched paths."""
-        ind, _, match_counts = self._base_state(query)
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """(scores, base-set members) for one probe; members is None when
+        no base set exists at all (an empty network or query)."""
+        n = self.base.n_people
+        out = np.zeros(n)
+        if n == 0 or not query:
+            return out, None
+        ind, support, match_counts = self._base_state(query)
         relevant = [
             (p, added)
             for (p, s), added in overlay.skill_flips().items()
@@ -1616,52 +1388,17 @@ class HitsDeltaSession(DeltaSession):
             now = 1.0 if match_counts[p] > 0 else 0.0
             if now != ind[p]:
                 delta_ind[p] = now - ind[p]
-        return ind, match_counts, delta_ind
-
-    def _patched_support(
-        self,
-        support: np.ndarray,
-        ind: np.ndarray,
-        delta_ind: Dict[int, float],
-        edge_flips: Dict[Tuple[int, int], bool],
-        propagated: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """support' = support + Δind + A·Δind + ΔA·ind'   (all counts are
-        small integers in float, so every update below is exact).
-        ``propagated`` optionally carries a precomputed ``Δind + A·Δind``
-        column from a batched spmm."""
-        if not delta_ind and not edge_flips:
-            return support
-        support = support.copy()
-        if propagated is not None:
-            support += propagated
-        else:
-            indptr, indices = self._adj.indptr, self._adj.indices
-            for p, d in delta_ind.items():
-                support[p] += d
-                support[indices[indptr[p] : indptr[p + 1]]] += d
-        for (u, v), added in edge_flips.items():
-            w = 1.0 if added else -1.0
-            support[u] += w * (ind[v] + delta_ind.get(v, 0.0))
-            support[v] += w * (ind[u] + delta_ind.get(u, 0.0))
-        return support
-
-    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
-        n = self.base.n_people
-        out = np.zeros(n)
-        if n == 0 or not query:
-            return out
-        _, support, _ = self._base_state(query)
-        ind, match_counts, delta_ind = self._probe_state(query, overlay)
         edge_flips = overlay.edge_flips()
         support = self._patched_support(support, ind, delta_ind, edge_flips)
         members = np.flatnonzero(support > 0.5)
-        if members.size == 0:
-            return out
-        authority = self._authority_for(edge_flips, members)
-        match = match_counts[members] / float(len(query))
-        out[members] = authority + self.ranker.match_bonus * match
-        return out
+        if members.size:
+            authority = self._authority_for(edge_flips, members)
+            match = match_counts[members] / float(len(query))
+            out[members] = authority + self.ranker.match_bonus * match
+        return out, members
+
+    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
+        return self._probe(query, overlay)[0]
 
     def scores_localized(
         self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
@@ -1671,70 +1408,15 @@ class HitsDeltaSession(DeltaSession):
         iteration only ever touches the base set (root ∪ its 1-hop
         neighborhood) — so the plan is the exact :meth:`scores` path with
         the base-set size surfaced as the cone."""
+        out, members = self._probe(query, overlay)
         n = self.base.n_people
-        out = np.zeros(n)
-        if n == 0 or not query:
+        if members is None:
             return out, LocalizedPlan(
                 mode="exact", k_hop=0, cone_size=0, n_people=n
             )
-        _, support, _ = self._base_state(query)
-        ind, match_counts, delta_ind = self._probe_state(query, overlay)
-        edge_flips = overlay.edge_flips()
-        support = self._patched_support(support, ind, delta_ind, edge_flips)
-        members = np.flatnonzero(support > 0.5)
-        if members.size:
-            authority = self._authority_for(edge_flips, members)
-            match = match_counts[members] / float(len(query))
-            out[members] = authority + self.ranker.match_bonus * match
         return out, LocalizedPlan(
             mode="exact", k_hop=1, cone_size=int(members.size), n_people=n
         )
-
-    def scores_batch(
-        self, query: Query, overlays: Iterable[NetworkOverlay]
-    ) -> List[np.ndarray]:
-        """Vectorized root/base-set updates across probes: the Δind columns
-        of the whole batch propagate through one ``A @ D`` spmm, patched
-        adjacencies are shared per edge-flip set, and authority runs are
-        memoized per (flip set, base-set members) — probes whose flips
-        leave the base set unchanged pay no iteration at all."""
-        overlays = list(overlays)
-        if len(overlays) <= 1:
-            return [self.scores(query, ov) for ov in overlays]
-        n = self.base.n_people
-        if n == 0 or not query:
-            return [np.zeros(n) for _ in overlays]
-        _, base_support, _ = self._base_state(query)
-        states = [self._probe_state(query, ov) for ov in overlays]
-        # One spmm propagates every probe's root-set delta at once.
-        delta_cols = [
-            (i, delta_ind) for i, (_, _, delta_ind) in enumerate(states) if delta_ind
-        ]
-        propagated: Dict[int, np.ndarray] = {}
-        if delta_cols:
-            d_mat = np.zeros((n, len(delta_cols)))
-            for j, (_, delta_ind) in enumerate(delta_cols):
-                for p, d in delta_ind.items():
-                    d_mat[p, j] = d
-            prop = d_mat + self.backend.spmm(self._adj, d_mat)
-            for j, (i, _) in enumerate(delta_cols):
-                propagated[i] = prop[:, j]
-        results: List[np.ndarray] = []
-        for i, (overlay, (ind, match_counts, delta_ind)) in enumerate(
-            zip(overlays, states)
-        ):
-            out = np.zeros(n)
-            edge_flips = overlay.edge_flips()
-            support = self._patched_support(
-                base_support, ind, delta_ind, edge_flips, propagated.get(i)
-            )
-            members = np.flatnonzero(support > 0.5)
-            if members.size:
-                authority = self._authority_for(edge_flips, members)
-                match = match_counts[members] / float(len(query))
-                out[members] = authority + self.ranker.match_bonus * match
-            results.append(out)
-        return results
 
 
 class TfidfDeltaSession(DeltaSession):
@@ -1763,105 +1445,6 @@ class TfidfDeltaSession(DeltaSession):
         self._row_cache = _LruCache(_MAX_SEMANTIC_CACHE)
 
     _SPILL_CACHES = ("_query_cache", "_row_cache")
-
-    def memo_survives(self, delta, query: Query) -> bool:
-        """The document ranker carries no graph signal at all, so a pure
-        edge commit cannot move any score, for any probe flip set."""
-        return not delta.skill_flips
-
-    def rebase(self, delta) -> bool:
-        """Patch the idf statistics and the touched profile rows in place.
-
-        A committed skill flip moves (a) the flipped people's rows and,
-        in the profile-model case, (b) the idf of the flipped skills —
-        which reaches every remaining holder's row.  Both are rebuilt
-        through :meth:`TfidfModel.row`, the same kernel a refit would go
-        through, so the patched model/matrix match a from-scratch build
-        bit-for-bit.  Declines (→ fresh session) when a commit changes
-        the vocabulary itself: a brand-new skill enters, or a removed
-        skill's last holder leaves, re-indexing every term."""
-        if not self._rebase_applies(delta):
-            return False
-        if not delta.skill_flips:
-            # Edge-only commit: nothing in this session reads the graph.
-            self._accept_rebase(delta)
-            return True
-        import math
-
-        from repro.text.tfidf import TfidfModel
-
-        base = self.base
-        flipped = {p for p, _, _ in delta.skill_flips}
-        if self.ranker._corpus_model is not None:
-            # Corpus idf statistics are commit-independent: only the
-            # flipped people's rows move.
-            model = self._model
-            touched = flipped
-            stale_terms: FrozenSet[str] = frozenset()
-        else:
-            old = self._model
-            vocab = old.vocabulary
-            stale_terms = delta.skills_changed
-            idf = old.idf.copy()
-            for s in stale_terms:
-                if s not in vocab:
-                    return False  # vocabulary grows: a refit re-indexes
-                df = len(base.people_with_skill(s))
-                if df == 0:
-                    return False  # last holder left: vocabulary shrinks
-                # The exact smoothed formula ``TfidfModel.fit`` applies.
-                idf[vocab[s]] = (
-                    math.log((1.0 + old.n_documents) / (1.0 + df)) + 1.0
-                )
-            model = TfidfModel(
-                vocabulary=vocab, idf=idf, n_documents=old.n_documents
-            )
-            touched = set(flipped)
-            for s in stale_terms:
-                touched |= base.people_with_skill(s)
-        new_rows = {p: model.row(sorted(base.skills(p))) for p in touched}
-        indptr = self._matrix.indptr
-        indices = self._matrix.indices
-        data = self._matrix.data
-        rows = [
-            new_rows[p]
-            if p in new_rows
-            else (
-                indices[indptr[p] : indptr[p + 1]].astype(np.int64),
-                data[indptr[p] : indptr[p + 1]],
-            )
-            for p in base.people()
-        ]
-        self._model = model
-        self._matrix = self.backend.gather_rows(rows, model.n_terms)
-        if self.ranker._corpus_model is None:
-            # Install the (bit-identical) patched model into the ranker's
-            # per-version slot so the plain reference path reuses it
-            # instead of refitting from scratch on the next call.
-            self.ranker._profile_model = model
-            self.ranker._profile_net = base
-            self.ranker._profile_version = delta.new_version
-        if stale_terms:
-            for key in self._row_cache.keys():
-                if key & stale_terms:
-                    self._row_cache.pop(key)
-        for query in self._query_cache.keys():
-            if stale_terms and (query & stale_terms):
-                self._query_cache.pop(query)
-                continue
-            hit = self._query_cache.get(query)
-            if hit is None:
-                continue
-            q_vec, base_scores = hit
-            base_scores = base_scores.copy()
-            for p in sorted(touched):
-                cols, vals = new_rows[p]
-                base_scores[p] = (
-                    self.backend.row_dot(vals, q_vec[cols]) if cols.size else 0.0
-                )
-            self._query_cache.put(query, (q_vec, base_scores))
-        self._accept_rebase(delta)
-        return True
 
     def _base_state(self, query: Query):
         hit = self._query_cache.get(query)
@@ -1999,6 +1582,11 @@ def _fault_key(query, flips) -> Tuple:
     return (qpart, tuple(sorted(repr(f) for f in flips)))
 
 
+def _survives_nothing(_delta, _query) -> bool:
+    """The retention predicate of a memo with no delta path behind it."""
+    return False
+
+
 def _rekey_memo_entries(memo: _LruCache, delta, survives) -> Tuple[int, int]:
     """Carry a score memo's ``(query, flips, version)`` entries across a
     committed delta: entries whose query ``survives(delta, query)`` move
@@ -2007,7 +1595,7 @@ def _rekey_memo_entries(memo: _LruCache, delta, survives) -> Tuple[int, int]:
 
     Idempotent by construction — entries already stamped with the new
     version are left untouched — so a registry-shared memo reached
-    through several engines' rebases is effectively processed once."""
+    through several engines' re-keys is effectively processed once."""
     retained = dropped = 0
     for key in memo.keys():
         # Keys are (query, flips, version) — localized entries append a
@@ -2412,13 +2000,18 @@ class ProbeEngine:
         return session.shared_context(overlay)
 
     # ------------------------------------------------------------------
-    # base-commit rebasing
+    # base commits
     # ------------------------------------------------------------------
-    def rebase(self, delta) -> Tuple[int, int]:
+    def rekey(self, delta) -> Tuple[int, int]:
         """Carry this engine's memo levels across a committed base edit,
         retaining every entry whose query's dependency cone provably
         misses the delta.  Returns ``(retained, dropped)`` score-memo
         entry counts.
+
+        Score vectors survive by the ranker's ``memo_survives``, decisions
+        by the target's (the ranker's for relevance, the former's for
+        membership): each predicate belongs to the system that computes
+        the answer, so no session is built to ask it.
 
         Must run before the next probe's :meth:`_sync_base` notices the
         version drift and clears wholesale; raises ``ValueError`` when
@@ -2435,23 +2028,26 @@ class ProbeEngine:
         if delta.is_empty:
             self.base_version = delta.new_version
             return (0, 0)
-        session = self._batch_session()
-        if session is not None and session.base_version == delta.new_version:
-            survives = session.memo_survives
+        ranker = getattr(self.target, "ranker", None)
+        if self.full_rebuild or ranker is None or ranker.full_rebuild:
+            # No delta path to serve memo hits through: retain nothing.
+            scores_survive = decisions_survive = _survives_nothing
         else:
-            # No delta session (full_rebuild targets, sessionless rankers)
-            # or one that could not be rebased: retain nothing.
-            def survives(_delta, _query):
-                return False
-
+            scores_survive = ranker.memo_survives
+            decisions_survive = self.target.memo_survives
         # Decision-memo keys carry no version, so survivors must be
-        # provably decision-identical over the new base — the same
-        # score-vector survival predicate covers that (identical scores
-        # imply identical decisions and ordering keys).
+        # provably decision-identical over the new base.  The predicate
+        # reads only the query, and the memo holds many keys per query.
+        verdicts: Dict[Query, bool] = {}
         for key in self._memo.keys():
-            if not survives(delta, key[1]):
+            query = key[1]
+            if query not in verdicts:
+                verdicts[query] = decisions_survive(delta, query)
+            if not verdicts[query]:
                 self._memo.pop(key)
-        retained, dropped = _rekey_memo_entries(self._score_memo, delta, survives)
+        retained, dropped = _rekey_memo_entries(
+            self._score_memo, delta, scores_survive
+        )
         self._empty_overlay = None
         self.base_version = delta.new_version
         return (retained, dropped)

@@ -92,6 +92,20 @@ class GcnExpertRanker(ExpertSearchSystem):
         """The GCN delta-scoring session (see ``repro.search.engine``)."""
         return GcnDeltaSession(self, base)
 
+    def memo_survives(self, delta, query: Query) -> bool:
+        """GCN scores read the graph (any edge flip propagates) and, per
+        person, only ``skills ∩ vocab`` (centroid columns) and ``skills ∩
+        query`` (the match feature) — so a commit whose skill flips all
+        miss both the training vocabulary and the query leaves every
+        feature row, and therefore every score, bit-identical."""
+        vocab = self._feature_vocab
+        if vocab is None or delta.edge_flips:
+            return False
+        changed = delta.skills_changed
+        if changed & query:
+            return False
+        return all(s not in vocab for s in changed)
+
     # ------------------------------------------------------------------
     # feature space
     # ------------------------------------------------------------------

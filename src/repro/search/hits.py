@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.backend import get_backend
 from repro.graph.network import CollaborationNetwork
-from repro.graph.perturbations import as_query
+from repro.graph.perturbations import Query, as_query
 from repro.search.base import ExpertSearchSystem
 from repro.search.engine import HitsDeltaSession
 
@@ -38,6 +38,12 @@ class HitsExpertRanker(ExpertSearchSystem):
 
     def delta_session(self, base: CollaborationNetwork) -> HitsDeltaSession:
         return HitsDeltaSession(self, base)
+
+    def memo_survives(self, delta, query: Query) -> bool:
+        """Root sets, support counts, and the sliced authority runs all
+        derive from query-term holdings and the adjacency; a commit that
+        touches neither leaves every probe over the query unchanged."""
+        return not delta.edge_flips and not (delta.skills_changed & query)
 
     def scores(self, query: Iterable[str], network: CollaborationNetwork) -> np.ndarray:
         query = as_query(query)

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.backend import get_backend
 from repro.graph.network import CollaborationNetwork
-from repro.graph.perturbations import as_query
+from repro.graph.perturbations import Query, as_query
 from repro.search.base import ExpertSearchSystem, query_match_vector
 from repro.search.engine import PageRankDeltaSession
 
@@ -44,6 +44,12 @@ class PageRankExpertRanker(ExpertSearchSystem):
 
     def delta_session(self, base: CollaborationNetwork) -> PageRankDeltaSession:
         return PageRankDeltaSession(self, base)
+
+    def memo_survives(self, delta, query: Query) -> bool:
+        """A committed skill flip outside the query's terms leaves every
+        restart vector — and so every walk over the unchanged operator —
+        untouched, for *any* probe flip set over the new base."""
+        return not delta.edge_flips and not (delta.skills_changed & query)
 
     def scores(self, query: Iterable[str], network: CollaborationNetwork) -> np.ndarray:
         query = as_query(query)

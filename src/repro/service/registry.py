@@ -14,10 +14,11 @@ session in a private slot, thrashing whenever two base networks alternated.
   the same deployed system, share one engine and its two-level probe memo;
 * **search delta sessions**, keyed ``(ranker, base, base version)`` — the
   per-flip-set patch caches, solved-subproblem memos, and cached base
-  forwards inside a session outlive any single engine;
+  forwards inside a session outlive any single engine (but not a base
+  commit, which drops them: see :meth:`EngineRegistry.rebase`);
 * **team delta sessions**, keyed ``(former, base, base version)`` — traced
   base formation runs (the expensive part of membership probing) stay warm
-  across targets, queries, and facades;
+  across targets, queries, and facades, until the next commit;
 * **shared score memos**, keyed ``(ranker, base, base version)`` — the
   score-vector level of the probe memo is person- *and* target-
   independent, so the registry injects one memo into every engine over
@@ -74,7 +75,11 @@ def _target_key(target) -> Tuple:
 
 
 class EngineRegistry:
-    """Bounded LRU ownership of probe engines and delta sessions."""
+    """Bounded LRU ownership of probe engines and delta sessions.
+
+    Sessions are bound to one base version; on a commit :meth:`rebase`
+    drops them and carries only the engines and their memoized answers
+    across."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self._engines = _LruCache(capacity)
@@ -173,22 +178,24 @@ class EngineRegistry:
         return dropped
 
     # ------------------------------------------------------------------
-    # base-commit rebasing
+    # base commits
     # ------------------------------------------------------------------
     def rebase(self, network: CollaborationNetwork, delta) -> Dict[str, int]:
-        """Carry every engine, session, and shared score memo bound to
-        ``network`` across a committed :class:`BaseDelta` instead of
-        cold-starting them on the version bump.
+        """Carry the engines and shared score memos bound to ``network``
+        across a committed :class:`BaseDelta` instead of cold-starting
+        them on the version bump.
 
-        Order matters: sessions rebase first (each patches its operators
-        O(Δ) or declines and is dropped), then the shared score memos
-        re-key their surviving entries through the rebased sessions'
-        :meth:`~repro.search.engine.DeltaSession.memo_survives`
-        predicates, then engines re-key — their own memo passes are
-        idempotent over the already-processed shared memos.  Returns the
+        Delta sessions do not cross a commit: every search and team
+        session bound to the old version is dropped, and the next probe
+        builds a fresh one over the committed base, so post-commit scores
+        are bit-identical to a from-scratch rebuild.  What crosses is
+        memoized answers: each shared score memo keeps the entries its
+        ranker's ``memo_survives(delta, query)`` certifies, then every
+        engine re-keys its decision memo through its target's predicate
+        (:meth:`~repro.search.engine.ProbeEngine.rekey`; its own pass over
+        the already-processed shared memo is idempotent).  Returns the
         retention statistics."""
         stats = {
-            "rebased_sessions": 0,
             "dropped_sessions": 0,
             "rebased_engines": 0,
             "dropped_engines": 0,
@@ -200,18 +207,9 @@ class EngineRegistry:
         nid = id(network)
         with self._lock:
             for store in (self._search_sessions, self._team_sessions):
-                for key in store.keys():
-                    sid, bid, version = key
-                    if bid != nid or version != delta.old_version:
-                        continue
-                    session = store.get(key)
-                    store.pop(key)
-                    if session is None or session.base is not network:
-                        continue
-                    if session.rebase(delta):
-                        store.put((sid, bid, delta.new_version), session)
-                        stats["rebased_sessions"] += 1
-                    else:
+                for key in store.keys():  # (system id, base id, version)
+                    if key[1] == nid and key[2] == delta.old_version:
+                        store.pop(key)
                         stats["dropped_sessions"] += 1
             for key in self._score_memos.keys():
                 rid, bid, version = key
@@ -224,14 +222,9 @@ class EngineRegistry:
                 ranker, net, memo = hit
                 if net is not network:
                     continue
-                session = self.search_session(ranker, network)
-                if session is not None and session.base_version == delta.new_version:
-                    survives = session.memo_survives
-                else:
-                    def survives(_delta, _query):
-                        return False
-
-                retained, dropped = _rekey_memo_entries(memo, delta, survives)
+                retained, dropped = _rekey_memo_entries(
+                    memo, delta, ranker.memo_survives
+                )
                 stats["retained_memo_entries"] += retained
                 stats["dropped_memo_entries"] += dropped
                 self._score_memos.put(
@@ -246,7 +239,7 @@ class EngineRegistry:
                 if engine is None or engine.base is not network:
                     continue
                 try:
-                    retained, dropped = engine.rebase(delta)
+                    retained, dropped = engine.rekey(delta)
                 except ValueError:
                     stats["dropped_engines"] += 1
                     continue

@@ -116,8 +116,8 @@ _EXPECTED_WARM_FAILURES = (ValueError, KeyError, IndexError)
 class CommitResult:
     """What one :meth:`ExplanationService.commit` did: the structural
     :class:`~repro.graph.network.BaseDelta` the overlay promoted, plus the
-    registry's rebase accounting (sessions/engines/memo entries retained
-    vs. dropped)."""
+    registry's rebase accounting: delta sessions dropped, engines carried
+    or dropped, memo entries retained vs. dropped."""
 
     delta: BaseDelta
     stats: Dict[str, int]
@@ -263,7 +263,9 @@ class ExplanationService:
     # ------------------------------------------------------------------
     def commit(self, overlay: NetworkOverlay) -> CommitResult:
         """Promote ``overlay``'s flips to a new base version *in place*
-        and rebase the registry's warm state O(Δ).
+        and rebase the registry: delta sessions are dropped (the next
+        probe builds fresh ones on the new base) and memoized answers the
+        commit provably cannot reach are retained.
 
         The gate semantics: announcing the commit blocks *new* requests
         at the :meth:`_answer_one` door, then the commit waits until

@@ -65,6 +65,13 @@ class TeamFormationSystem(abc.ABC):
         ``base`` network; None when the former has no delta path."""
         return None
 
+    def memo_survives(self, delta, query: Query) -> bool:
+        """Are this former's teams for ``query`` provably unchanged by the
+        committed ``delta``, under any probe flip set?  Decides which
+        membership decisions cross a commit; the default retains
+        nothing."""
+        return False
+
     def _session_for(self, base: CollaborationNetwork):
         """The cached delta session for ``base``, rebuilt on version drift.
 

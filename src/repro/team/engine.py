@@ -87,12 +87,6 @@ class TeamDeltaSession(abc.ABC):
         mutates (version drift)."""
         return base is self.base and base.version == self.base_version
 
-    def rebase(self, delta) -> bool:
-        """Carry this session across a committed base edit, re-tracing
-        only invalidated runs.  Returns False to decline (→ the caller
-        drops the session); the default declines."""
-        return False
-
     def warm_state(self):
         """``{attr: [(key, value), ...]}`` snapshot of the caches named in
         ``_SPILL_CACHES`` — the registry spill payload."""
@@ -144,62 +138,6 @@ class CoverTeamDeltaSession(TeamDeltaSession):
         self.reforms = 0
 
     _SPILL_CACHES = ("_run_cache",)
-
-    # ------------------------------------------------------------------
-    # base-commit rebasing
-    # ------------------------------------------------------------------
-    def rebase(self, delta) -> bool:
-        """Keep every traced run whose witness set provably misses the
-        committed edit; invalidated runs are simply dropped and re-traced
-        on their next probe.
-
-        A run survives when (a) the ranker's delta session certifies the
-        committed flips cannot move any score for the run's query
-        (:meth:`~repro.search.engine.DeltaSession.memo_survives` — which
-        also pins the auto-seed choice, since it reads only scores), (b)
-        no committed query-term skill flip lands on a witness, and (c) no
-        committed edge flip is incident to a member — exactly the reads
-        :meth:`_run_unaffected` enumerates, applied to the commit instead
-        of a probe overlay."""
-        if (
-            self.base.version != delta.new_version
-            or self.base_version != delta.old_version
-        ):
-            return False
-        if delta.is_empty:
-            self.base_version = delta.new_version
-            return True
-        try:
-            rsession = self.former.ranker._session_for(self.base)
-        except AttributeError:
-            rsession = None
-        for key in self._run_cache.keys():
-            query, _seed = key
-            run = self._run_cache.get(key)
-            if run is None:
-                continue
-            if (
-                rsession is None
-                or rsession.base_version != delta.new_version
-                or not rsession.memo_survives(delta, query)
-            ):
-                self._run_cache.pop(key)
-                continue
-            survives = True
-            for p, s, _added in delta.skill_flips:
-                if s in query and p in run.witness:
-                    survives = False
-                    break
-            if survives:
-                members = run.team.members
-                for u, v, _added in delta.edge_flips:
-                    if u in members or v in members:
-                        survives = False
-                        break
-            if not survives:
-                self._run_cache.pop(key)
-        self.base_version = delta.new_version
-        return True
 
     # ------------------------------------------------------------------
     # probing

@@ -29,7 +29,7 @@ from typing import Iterable, List, Optional, Set
 import numpy as np
 
 from repro.graph.network import CollaborationNetwork
-from repro.graph.perturbations import as_query
+from repro.graph.perturbations import Query, as_query
 from repro.search.base import ExpertSearchSystem
 from repro.team.base import Team, TeamFormationSystem
 
@@ -54,6 +54,20 @@ class CoverTeamFormer(TeamFormationSystem):
         from repro.team.engine import CoverTeamDeltaSession
 
         return CoverTeamDeltaSession(self, base)
+
+    def memo_survives(self, delta, query: Query) -> bool:
+        """The greedy reads query-term holdings, members' edges and the
+        ranker's scores (the reads
+        :meth:`~repro.team.engine.CoverTeamDeltaSession._run_unaffected`
+        lists).  Under an arbitrary probe flip set anyone can be a
+        witness or a member, so a team survives a commit only when it
+        flips no edge and no query-term skill, and the ranker's scores
+        survive it too."""
+        return (
+            not delta.edge_flips
+            and not (delta.skills_changed & query)
+            and self.ranker.memo_survives(delta, query)
+        )
 
     def form(
         self,

@@ -14,7 +14,6 @@ import scipy.sparse as sp
 
 from repro.datasets import toy_network
 from repro.graph import NetworkOverlay
-from repro.search import PageRankExpertRanker
 from repro.search.engine import _csr_keys, _flip_csr
 
 
@@ -152,28 +151,3 @@ class TestFlipCsrOracle:
         empty = sp.csr_matrix((5, 5))
         flips = {(0, 3): True, (1, 2): True}
         _assert_same_csr(_flip_csr(empty, _csr_keys(empty), flips), _oracle_flip(empty, flips))
-
-    def test_sessions_after_rebase(self, small_gcn_ranker, small_dataset):
-        """After a committed edge edit, both the GCN's ``A+I`` and
-        PageRank's plain adjacency are still patched exactly — the
-        sessions' position keys follow the rebased matrices."""
-        rng = np.random.default_rng(3)
-        net = small_dataset.network.copy()
-        gcn = small_gcn_ranker.delta_session(net)
-        pagerank = PageRankExpertRanker().delta_session(net)
-        for _ in range(2):
-            for session, adj_of in ((gcn, "_a_hat"), (pagerank, "_adj")):
-                adj = getattr(session, adj_of)
-                flips = _random_flips(adj, rng, "mixed", 5)
-                got = session._flipped_csr(adj, flips)
-                _assert_same_csr(got, _oracle_flip(adj, flips))
-            overlay = NetworkOverlay(net)
-            for (u, v), added in _random_flips(net.adjacency_csr(), rng, "mixed", 4).items():
-                (overlay.add_edge if added else overlay.remove_edge)(u, v)
-            delta = overlay.commit()
-            assert gcn.rebase(delta) and pagerank.rebase(delta)
-            fresh = net.adjacency_csr()
-            _assert_same_csr(pagerank._adj, fresh)
-            _assert_same_csr(
-                gcn._a_hat, (fresh + sp.identity(net.n_people, format="csr")).tocsr()
-            )

@@ -23,10 +23,11 @@ and including annihilating add-then-remove pairs — and asserts
   invocation, deterministic single-thread ``explain_many``, and sharded
   execution,
 * randomized *committed* edit chains — ``overlay.commit()`` promoting
-  flips into the base, live sessions rebased O(Δ) — score and form
-  exactly as a fresh stack built from scratch on the committed network,
-  several epoch boundaries deep, for all four rankers, team formation,
-  and registry-owned engines with memo retention.
+  flips into the base, the engine registry dropping its sessions —
+  score bit for bit and form exactly as a fresh stack built from
+  scratch on the committed network, several epoch boundaries deep, for
+  all four rankers, team formation, and registry-owned relevance and
+  membership engines with memo retention.
 
 Every case is pinned to a deterministic seed, so green stays green.  The
 default run executes a quick subset; the full sweep (500+ chains across
@@ -765,7 +766,7 @@ class TestServeParityFuzz:
 
 
 # ----------------------------------------------------------------------
-# committed edit chains: O(Δ) rebase vs. from-scratch rebuilds
+# committed edit chains: post-commit sessions vs. from-scratch rebuilds
 # ----------------------------------------------------------------------
 def _commit_overlay(net, rng, length):
     """A random applicable flip set on a *direct* overlay over ``net`` —
@@ -830,16 +831,16 @@ class TestCommitFuzz:
     """Randomized *committed* edit chains.
 
     Each round promotes a random flip set into the live base with
-    ``overlay.commit()`` and carries the open delta sessions across via
-    ``rebase`` (falling back to a fresh session when one declines — both
-    outcomes must be parity-safe).  After every commit, scores served by
-    the rebased ranker session must equal to 1e-9 both the full-rebuild
-    reference on the mutated base and a fresh session stack over a
-    network rebuilt from scratch at the committed state
-    (``network_to_dict`` → ``network_from_dict``), and the rebased team
-    session must return the *exact* reference team.  Chains run several
-    commits deep so retained caches must survive multiple epoch
-    boundaries, not just one.
+    ``overlay.commit()`` and rebases an installed ``EngineRegistry``
+    (the path ``ExplanationService.commit`` takes), which drops every
+    delta session bound to the old version.  After every commit the
+    ranker and former must serve through *new* sessions, whose scores
+    equal the full-rebuild reference on the mutated base to 1e-9 and a
+    fresh session stack over a network rebuilt from scratch at the
+    committed state (``network_to_dict`` → ``network_from_dict``) bit
+    for bit, and whose team is the *exact* reference team.  Chains run
+    several commits deep, so every epoch boundary is crossed more than
+    once.
     """
 
     N_COMMITS = 3
@@ -847,28 +848,28 @@ class TestCommitFuzz:
     @classmethod
     def _run_commit_chain(cls, ranker, net, chain_length, rng, fresh_ranker_factory):
         former = CoverTeamFormer(ranker)
+        registry = EngineRegistry().install(ranker, former)
         rsession = ranker._session_for(net)
         tsession = former._session_for(net)
         assert rsession is not None and tsession is not None
         pinned_query = _random_query(net, rng)
         # Warm the score caches and the base team trace before the first
-        # commit, so rebasing has real state to retain or invalidate.
+        # commit, so the sessions a commit drops hold real state.
         ranker.scores(pinned_query, _commit_overlay(net, rng, 2))
         former.form(pinned_query, NetworkOverlay(net))
 
         for _ in range(cls.N_COMMITS):
             delta = _commit_overlay(net, rng, chain_length).commit()
             assert delta.new_version == net.version
-            # Rebase order matters: the team session's retention predicate
-            # consults the ranker session already carried to the new base.
-            if not rsession.rebase(delta):
-                rsession = ranker._session_for(net)
-            if not tsession.rebase(delta):
-                tsession = former._session_for(net)
+            registry.rebase(net, delta)
+            # A commit drops the sessions; the next probe builds fresh
+            # ones on the committed base (an empty delta bumps nothing).
+            new_rsession = ranker._session_for(net)
+            new_tsession = former._session_for(net)
+            assert (new_rsession is rsession) == delta.is_empty
+            assert (new_tsession is tsession) == delta.is_empty
+            rsession, tsession = new_rsession, new_tsession
             assert rsession.valid_for(net) and tsession.valid_for(net)
-            # The ranker keeps serving through the rebased session — no
-            # silent cold rebuild behind the parity check.
-            assert ranker._session_for(net) is rsession
 
             fresh_net = network_from_dict(network_to_dict(net))
             assert fresh_net.state_digest() == net.state_digest()
@@ -889,9 +890,9 @@ class TestCommitFuzz:
                     fresh = fresh_session.scores(
                         query, _replay_overlay(probe, fresh_net)
                     )
-                    np.testing.assert_allclose(fast, fresh, rtol=0, atol=ATOL)
+                    np.testing.assert_array_equal(fast, fresh)
 
-            # Exact-team parity through the rebased team session, against a
+            # Exact-team parity through the fresh team session, against a
             # from-scratch formation on the rebuilt network.
             seed_member = (
                 None if rng.random() < 0.5 else int(rng.integers(0, net.n_people))
@@ -971,37 +972,68 @@ class TestCommitFuzz:
 
     @staticmethod
     def _run_registry(ranker_name, seed):
-        """Probe decisions after ``EngineRegistry.rebase`` — rebased
-        sessions, re-keyed engines, memo entries retained through the
-        per-ranker ``memo_survives`` cones — equal a cold engine on a
-        from-scratch rebuild of the committed network."""
+        """Probe decisions after ``EngineRegistry.rebase`` — sessions
+        dropped, engines re-keyed, memo entries retained through the
+        deciding system's ``memo_survives`` (the ranker's for relevance,
+        the former's for membership) — equal a cold engine on a
+        from-scratch rebuild of the committed network.  Each target kind
+        sees a random mixed commit and an edge-only one."""
+        for membership in (False, True):
+            for edges_only in (False, True):
+                TestCommitFuzz._run_registry_case(
+                    ranker_name, seed, membership, edges_only
+                )
+
+    @staticmethod
+    def _run_registry_case(ranker_name, seed, membership, edges_only):
         rng = np.random.default_rng(91_000 + seed)
         net = toy_network(n_people=int(rng.integers(12, 20)), seed=seed)
+
+        def make_target(ranker):
+            if membership:
+                return MembershipTarget(CoverTeamFormer(ranker))
+            return RelevanceTarget(ranker, k=3)
+
+        def edit(length):
+            if not edges_only:
+                return _commit_overlay(net, rng, length)
+            overlay = NetworkOverlay(net)
+            while overlay.n_flips < length:
+                u, v = (int(x) for x in rng.choice(net.n_people, 2, replace=False))
+                (overlay.remove_edge if overlay.has_edge(u, v) else overlay.add_edge)(u, v)
+            return overlay
+
         ranker = RANKERS[ranker_name]()
+        target = make_target(ranker)
         registry = EngineRegistry()
-        registry.install(ranker)
-        target = RelevanceTarget(ranker, k=3)
+        registry.install(ranker, getattr(target, "former", None))
         engine = registry.engine(target, net)
         queries = [_random_query(net, rng) for _ in range(3)]
         for query in queries:  # warm the decision and score memos
+            for person in range(net.n_people):
+                engine.probe(person, query)
             for _ in range(3):
                 person = int(rng.integers(0, net.n_people))
                 engine.probe(
                     person, query, _commit_overlay(net, rng, int(rng.integers(1, 4)))
                 )
-        delta = _commit_overlay(net, rng, 4).commit()
+        delta = edit(4).commit()
         while delta.is_empty:  # all-annihilating chains commit as no-ops
-            delta = _commit_overlay(net, rng, 4).commit()
+            delta = edit(4).commit()
         stats = registry.rebase(net, delta)
-        assert stats["rebased_sessions"] + stats["dropped_sessions"] >= 1
+        assert stats["dropped_sessions"] >= 1
         assert stats["rebased_engines"] + stats["dropped_engines"] >= 1
         rebased = registry.engine(target, net)
 
         fresh_net = network_from_dict(network_to_dict(net))
         fresh_engine = ProbeEngine(
-            RelevanceTarget(RANKERS[ranker_name](), k=3), fresh_net
+            make_target(RANKERS[ranker_name]()), fresh_net
         )
         for query in queries + [_random_query(net, rng)]:
+            for person in range(net.n_people):
+                assert rebased.probe(person, query) == fresh_engine.probe(
+                    person, query
+                )
             for _ in range(3):
                 person = int(rng.integers(0, net.n_people))
                 probe = _commit_overlay(net, rng, int(rng.integers(1, 4)))
@@ -1021,3 +1053,36 @@ class TestCommitFuzz:
     @pytest.mark.parametrize("seed", SLOW_SEEDS)
     def test_registry_rebase_full(self, ranker_name, seed):
         self._run_registry(ranker_name, seed)
+
+    def test_membership_decisions_after_edge_commit(self):
+        """An edge-only commit moves no TF-IDF score, but it can move a
+        cover team: the greedy reads members' edges.  Membership
+        decisions memoized before the commit must not answer after it
+        (the ranker's score predicate alone retained them all)."""
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            net = toy_network(n_people=14, seed=seed)
+            ranker = DocumentExpertRanker()
+            former = CoverTeamFormer(ranker)
+            registry = EngineRegistry().install(ranker, former)
+            target = MembershipTarget(former)
+            query = _random_query(net, rng)
+            engine = registry.engine(target, net)
+            for person in range(net.n_people):
+                engine.probe(person, query)
+            u = min(former.form(query, net).members)
+            v = int(rng.choice([p for p in range(net.n_people) if p != u]))
+            overlay = NetworkOverlay(net)
+            (overlay.remove_edge if net.has_edge(u, v) else overlay.add_edge)(u, v)
+            registry.rebase(net, overlay.commit())
+            engine = registry.engine(target, net)
+            fresh_net = network_from_dict(network_to_dict(net))
+            cold = ProbeEngine(
+                MembershipTarget(CoverTeamFormer(DocumentExpertRanker())), fresh_net
+            )
+            stale = [
+                person
+                for person in range(net.n_people)
+                if engine.probe(person, query) != cold.probe(person, query)
+            ]
+            assert not stale, f"seed {seed}, flip {(u, v)}: stale {stale}"

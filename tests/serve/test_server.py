@@ -264,9 +264,16 @@ class TestBackpressure:
         async def scenario():
             server = await start_server(service)
             client = await ServeClient.connect("127.0.0.1", server.port)
-            responses, summary = await client.explain_many(requests, max_workers=4)
-            # The shed happened (workers > max_in_flight), so the batch
-            # summary flags pressure...
+            # Hold the one admission slot for the whole first batch, so
+            # the shed does not depend on worker threads overlapping.
+            assert service.admission.try_acquire("holder") is None
+            try:
+                responses, summary = await client.explain_many(
+                    requests, max_workers=4
+                )
+            finally:
+                service.admission.release("holder")
+            # The shed happened, so the batch summary flags pressure...
             first = (summary["outcomes"], summary["pressured"])
             # ...and the *next* batch on this connection goes through
             # drain-mode admission, then completes normally.
@@ -466,7 +473,7 @@ class TestLiveCommits:
         assert end["old_version"] == v0
         assert end["new_version"] == service.network.version > v0
         assert end["n_skill_flips"] == 1 and end["n_edge_flips"] == 0
-        assert set(end["stats"]) >= {"rebased_sessions", "retained_memo_entries"}
+        assert set(end["stats"]) >= {"dropped_sessions", "retained_memo_entries"}
 
         assert len(responses) == len(requests)
         assert all(r.outcome == "ok" for r in responses)
