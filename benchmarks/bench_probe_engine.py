@@ -17,8 +17,8 @@ root so the perf trajectory is tracked across PRs:
   TF-IDF's multi-row sparse gathers) vs. per-probe delta scoring, with a
   1e-9 parity assertion per ranker;
 * a **SHAP multi-query row** — factual query explanations through the
-  shared multi-query probe sessions (``SharedProbeContext`` + the
-  two-level score memo) vs. one sequential probe per coalition, with a
+  multi-query flushes (``DeltaSession.scores_multi`` + the two-level
+  score memo) vs. one sequential probe per coalition, with a
   KernelSHAP == exact-Shapley exactness assertion;
 * a **service row** — a paper-style mixed request workload (factual +
   counterfactual + team membership) through
@@ -44,12 +44,13 @@ root so the perf trajectory is tracked across PRs:
 * a **factual (SHAP) suite**, probe engine on vs. off;
 * **scale-tiered rows** — synthetic networks at 1e3/1e4/1e5 nodes (1e6
   behind ``--huge``), built through the streaming CSR generator (peak-RSS
-  tracked, compactness asserted), then per-ranker localized-vs-global
-  probe timings over edge-flip overlays: the ``LocalizedPlan`` path
-  (certified-exact splices + the bounded-error forward-push PageRank
-  kernel) against the same session's global kernels, parity-gated per
-  plan mode (exact to 1e-9, sampled within its certified residual bound)
-  — the full run asserts the PageRank localized speedup floor at 1e5.
+  tracked, compactness asserted), then PageRank localized-vs-global
+  probe timings over edge-flip overlays: the bounded-error forward-push
+  ``LocalizedPlan`` against the same session's global kernels,
+  parity-gated per plan mode (exact to 1e-9, sampled within its
+  certified residual bound) — the full run asserts the localized
+  speedup floor at 1e5.  PageRank is the only ranker with a localized
+  plan; the others' ``scores_localized`` is their global kernel.
 
 Run with::
 
@@ -563,12 +564,12 @@ def run_batch_matrix(
 def run_shap_multi_query_row(
     ranker, net, k: int = 10, n_persons: int = 4, seed: int = 33
 ) -> dict:
-    """Factual SHAP through the shared multi-query probe sessions.
+    """Factual SHAP through the multi-query probe flushes.
 
     ``explain_query`` sweeps coalition masks that are *query subsets* over
-    a fixed network — the exact shape ``SharedProbeContext`` serves: one
-    pinned (empty) overlay, many queries, patches computed once, score
-    vectors memoized across persons.  The shared pass explains
+    a fixed network — the exact shape ``DeltaSession.scores_multi``
+    serves: one pinned (empty) overlay, many queries, patches computed
+    once, score vectors memoized across persons.  The shared pass explains
     ``n_persons`` people through one engine; the per-probe pass gives
     each person a *fresh* engine and strips the bulk (prefetch) path, so
     every coalition resolves as one sequential probe — no shared flushes
@@ -1178,27 +1179,25 @@ def run_scale_rows(
     seed: int = 47,
     pagerank_floor_at: int = 0,
     pagerank_floor: float = 5.0,
-    include_gcn: bool = True,
     epsilon: float = 1e-5,
 ) -> dict:
     """Streaming builds + localized-vs-global probe timings per tier.
 
     Per tier: build the network through ``synthesize_network_streaming``
     (compactness asserted — the build must never densify into per-person
-    Python sets), record build time and resident memory, then for each
-    ranker score the same edge-flip probe states twice through one delta
-    session — first under a ``localized_scope`` (``scores_localized``,
+    Python sets), record build time and resident memory, then score the
+    same edge-flip probe states twice through a PageRank delta session
+    — first under a ``localized_scope`` (``scores_localized``,
     timed cold so it pays its own patch construction), then through the
     session's global kernels (timed warm, biasing the ratio *against*
     the localized path).  Parity per state is mode-aware: exact and
     global plans to 1e-9, sampled plans within their certified residual
     bound.  ``pagerank_floor_at`` asserts the PageRank localized speedup
     floor at that tier (0 disables — the smoke tiers are too small for
-    the push cone to beat a 50-iteration power method).
-
-    The GCN rides only the smallest tier (training cost scales with n;
-    its 2-hop receptive-field splice is the *origin* of the localized
-    plan and is already exercised per-PR by the main matrix).
+    the push cone to beat a 50-iteration power method).  Only PageRank
+    is timed: the other sessions' ``scores_localized`` runs the same
+    global kernel as their ``scores``, so their rows would time one code
+    path twice.
 
     ``epsilon`` is the sampled mode's l1 budget on the unit-mass score
     vector — the default 1e-5 (one part in 10^5 of total PageRank mass)
@@ -1221,15 +1220,7 @@ def run_scale_rows(
         rss_after = _current_rss_mb()
         assert net.is_compact, f"n={n}: streaming build densified"
 
-        rankers = baseline_rankers()
-        if include_gcn and n <= min(tiers) and n <= 2_000:
-            embedding = train_ppmi_embedding(
-                [sorted(net.skills(p)) for p in net.people()], dim=16, min_count=1
-            )
-            rankers["gcn"] = GcnExpertRanker(
-                embedding, GcnRankerConfig(epochs=4, n_train_queries=6, seed=1)
-            ).fit(net)
-
+        rankers = {"pagerank": PageRankExpertRanker()}
         query = _scale_query(net, rng)
         states = _edge_flip_states(net, query, n_states, seed + 1)
         tier_row = {
@@ -1375,9 +1366,7 @@ def run_smoke() -> dict:
     # localized parity gates (speedup floors are meaningless this small —
     # the push cone can't beat a power method on a 1e3-node network).
     print("scale tiers (streaming build + localized parity) ...", flush=True)
-    scale_rows = run_scale_rows(
-        tiers=(1_000, 10_000), n_states=8, include_gcn=True
-    )
+    scale_rows = run_scale_rows(tiers=(1_000, 10_000), n_states=8)
     report = {
         "mode": "smoke",
         "host": host_block(),
@@ -1435,7 +1424,7 @@ def main(huge: bool = False) -> dict:
             f"({row['speedup']:.2f}x) — a batching regression"
         )
 
-    print("shared multi-query SHAP sessions (vs per-probe sweeps) ...", flush=True)
+    print("multi-query SHAP flushes (vs per-probe sweeps) ...", flush=True)
     shap_row = run_shap_multi_query_row(exes.ranker, net)
 
     print("explanation service (explain_many vs per-call facade) ...", flush=True)

@@ -57,7 +57,10 @@ def _resolve_person(network, spec: str) -> int:
     try:
         person = int(spec)
     except ValueError:
-        return network.find_person(spec)
+        try:
+            return network.find_person(spec)
+        except KeyError:
+            raise SystemExit(f"no person named {spec!r}") from None
     if not (0 <= person < network.n_people):
         raise SystemExit(f"person id {person} out of range")
     return person
@@ -95,10 +98,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_team(args: argparse.Namespace) -> int:
     """Form and print a team for the query."""
     dataset = _load_dataset(args)
-    exes = ExES.build(dataset, k=args.k, seed=args.seed)
     seed_member: Optional[int] = None
     if args.seed_member is not None:
         seed_member = _resolve_person(dataset.network, args.seed_member)
+    exes = ExES.build(dataset, k=args.k, seed=args.seed)
     team = exes.form_team(args.query, seed_member=seed_member)
     print(render_team(team, dataset.network))
     return 0
@@ -107,9 +110,9 @@ def cmd_team(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     """Print factual + counterfactual explanations for one person."""
     dataset = _load_dataset(args)
-    exes = ExES.build(dataset, k=args.k, seed=args.seed)
     network = dataset.network
     person = _resolve_person(network, args.person)
+    exes = ExES.build(dataset, k=args.k, seed=args.seed)
 
     rank = exes.rank_of(person, args.query)
     status = "an expert" if rank <= args.k else "not an expert"

@@ -174,8 +174,8 @@ class ExES:
         (:meth:`ProbeEngine.probe_batch`): same-query groups through
         :meth:`~repro.search.engine.DeltaSession.scores_batch`, and
         same-overlay multi-query sweeps (SHAP coalition masks) through
-        one :class:`~repro.search.engine.SharedProbeContext` with the
-        overlay's patches computed once."""
+        one :meth:`~repro.search.engine.DeltaSession.scores_multi` call
+        with the overlay's patches computed once."""
         return self._service.engine(team, seed_member)
 
     def factual_explainer(

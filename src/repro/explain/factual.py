@@ -66,9 +66,9 @@ class _SharedMaskValueFunction:
     masked states — across coalitions, selection vs. final SHAP stages, or
     sibling explainers sharing the engine — are scored once.  ``prefetch``
     flushes a whole mask set through :meth:`ProbeEngine.probe_batch`,
-    which routes same-overlay/many-query sweeps through the ranker's
-    :class:`~repro.search.engine.SharedProbeContext` and same-query/many-
-    overlay sweeps through its batched delta forwards.
+    which routes same-overlay/many-query sweeps through the ranker
+    session's ``scores_multi`` and same-query/many-overlay sweeps through
+    its ``scores_batch``.
     """
 
     __slots__ = ("_engine", "_person", "_query", "_network", "_features")
@@ -172,7 +172,7 @@ class FactualExplainer:
 
         The returned callable carries a ``prefetch`` bulk path: the SHAP
         estimators announce their whole coalition sweep up front, and the
-        engine answers it through shared multi-query probe sessions
+        engine answers it through multi-query probe flushes
         (query-term masks sweep many query subsets over one pinned
         overlay) and batched delta forwards (skill/edge masks sweep many
         overlays under one query) instead of one probe per coalition.

@@ -636,28 +636,6 @@ class CollaborationNetwork:
             return self._adj_indices[s:e].tolist()
         return sorted(self._adj[person])
 
-    def shortest_path_length(self, source: int, target: int) -> Optional[int]:
-        """BFS hop distance, or None if disconnected."""
-        self._check_pair_allow_equal(source, target)
-        if source == target:
-            return 0
-        indptr, indices = self._adjacency_arrays()
-        seen = {source}
-        frontier = [source]
-        dist = 0
-        while frontier:
-            dist += 1
-            nxt: List[int] = []
-            for u in frontier:
-                for v in indices[indptr[u] : indptr[u + 1]].tolist():
-                    if v == target:
-                        return dist
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return None
-
     # ------------------------------------------------------------------
     # derived numpy / scipy artifacts (cached by version)
     # ------------------------------------------------------------------
@@ -962,10 +940,6 @@ class CollaborationNetwork:
         self._check_person(v)
         if u == v:
             raise ValueError(f"self loops are not allowed (node {u})")
-
-    def _check_pair_allow_equal(self, u: int, v: int) -> None:
-        self._check_person(u)
-        self._check_person(v)
 
     def __repr__(self) -> str:
         return (

@@ -26,11 +26,10 @@ injectors) cannot be imported from here without a cycle.  The contract:
   shared flags under concurrent shards.  This is the reference tier of
   the service's degradation ladder.
 * :func:`localized_scope` — installs a :class:`LocalizedSpec` for the
-  current thread: probe scoring runs the sessions' *localized plans*
-  (exact k-hop splices where the math allows, bounded-error forward-push
-  PageRank where it doesn't — see ``DeltaSession.scores_localized``) and
-  the spec accumulates the per-mode plan counts the service stamps onto
-  the response.
+  current thread: PageRank probes run a bounded-error forward push (see
+  ``PageRankDeltaSession.scores_localized``), every other ranker its
+  exact global kernel, and the spec accumulates the per-mode plan counts
+  the service stamps onto the response.
 * :func:`fault_point` — named no-op hooks in the probe layer.  A
   :func:`fault injector <install_fault_injector>` (see
   :mod:`repro.service.faults`) makes them raise, stall, or evict
@@ -191,16 +190,16 @@ class LocalizedSpec:
     """One request's localized-probe policy plus its plan accounting.
 
     Installed through :func:`localized_scope`, read by the probe engine and
-    the delta sessions' ``scores_localized`` paths: probes touch only the
-    flips' k-hop cone where the math allows an exact splice, and run the
-    bounded-error forward-push PageRank kernel where it does not.
+    the delta sessions' ``scores_localized`` paths: PageRank probes run
+    the bounded-error forward-push kernel over the flips' cone; the other
+    rankers have no localized path and count every probe as ``"global"``.
 
     * ``epsilon`` — the l1 error allowance for sampled (forward-push)
       probes; every sampled plan reports a certified ``residual_bound <=
       epsilon`` and the worst one is surfaced in :meth:`summary`.
     * ``max_cone_fraction`` — cone-size ceiling as a fraction of the
-      network; a probe whose touched cone exceeds it falls back to the
-      exact global kernel (mode ``"global"``).
+      network; a push whose solve set exceeds it falls back to the exact
+      global kernel (mode ``"global"``).
 
     ``record`` is thread-safe: the service's shards may score probes for
     one request on several threads.

@@ -27,7 +27,6 @@ from repro.search.engine import (
     HitsDeltaSession,
     PageRankDeltaSession,
     ProbeEngine,
-    SharedProbeContext,
     TfidfDeltaSession,
 )
 from repro.search.gcn import GcnExpertRanker, GcnRankerConfig
@@ -50,6 +49,5 @@ __all__ = [
     "ProbeEngine",
     "RankedResults",
     "RelevanceJudge",
-    "SharedProbeContext",
     "TfidfDeltaSession",
 ]

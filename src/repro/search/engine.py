@@ -37,20 +37,16 @@ probe.  This module makes probes O(Δ) for **all four shipped rankers**:
   Contract: session scores match the ranker's from-scratch ``full_rebuild``
   scores to 1e-9 (verified per ranker in ``tests/search/test_engine.py``).
 
-* :class:`SharedProbeContext` — one overlay's patches pinned against a
-  session, answering ``scores`` for *many queries*.  SHAP value functions
-  evaluate the same perturbed network under hundreds of query subsets
-  (factual query explanations mask query terms while the network stays
-  fixed), so the overlay-side work — patched propagation operators,
-  transition matrices, profile rows — is computed once per flip set and
-  shared across every query probed against it.  Sessions back this with
-  per-flip-set patch caches and ``scores_multi`` (the multi-query
-  counterpart of ``scores_batch``): the GCN stacks per-query feature
-  matrices over *one* patched operator, PageRank advances stacked
-  warm-started power iterations through shared ``(n, k)`` spmm kernels,
-  HITS reuses patched adjacency and memoized authority runs, and TF-IDF
-  multiplies its patched profile rows by all query vectors in one sparse
-  product.
+  Every session also answers ``scores_multi`` — many queries against one
+  overlay, the shape of a SHAP sweep that masks query terms while the
+  network stays fixed — and ``scores_batch`` — one query against many
+  overlays.  The GCN runs either group as one block-diagonal forward,
+  PageRank as stacked warm-started power iterations through shared
+  ``(n, k)`` spmm kernels, and TF-IDF gathers its patched profile rows
+  once; HITS loops :meth:`DeltaSession.scores`.  Under a localized scope
+  (:func:`~repro.runtime.localized_scope`) PageRank alone has a plan of
+  its own, a bounded-error forward push; every other session answers
+  with its exact global kernel and reports the plan as ``global``.
 
 * :class:`ProbeEngine` — cross-explainer memoization of decision probes,
   keyed on ``(person, query, frozenset(flips))``, plus a second score-level
@@ -106,15 +102,6 @@ _BATCH_GROUP = 8  # overlays per batched GCN forward (bounds block size)
 # PageRank stacking size) are *backend cost hints* — see
 # ``NumericBackend.tfidf_gather_min_rows`` / ``pagerank_stack_min_people``
 # in ``repro.backend.base``; sessions read them off ``self.backend``.
-# Neighborhood-restricted GCN forwards only pay off while the receptive
-# field stays well below the whole graph; past this fraction the full
-# patched forward is cheaper than the slicing bookkeeping.
-_RESTRICT_MAX_FRACTION = 1 / 3
-# Inside a *batched* flush the alternative to the splice is a stacked
-# forward amortized over the group, which beats the splice's Python
-# bookkeeping on small graphs; only divert batch members to the splice
-# once the graph is big enough that a full forward clearly dominates.
-_BATCH_RESTRICT_MIN_N = 1024
 # Sweep cap for the localized forward-push PageRank kernel: residual mass
 # decays geometrically by the damping factor per sweep, so reaching
 # epsilon * (1 - damping) from an O(1) seed takes ~log_{1/d}(1/eps)
@@ -127,14 +114,11 @@ _LOCALIZED_MAX_SWEEPS = 200
 class LocalizedPlan:
     """How one probe's scores were produced under a localized scope.
 
-    * ``mode`` — ``"exact"`` (certified-exact splice: the untouched rows
-      provably equal the base values), ``"sampled"`` (bounded-error
+    * ``mode`` — ``"exact"`` (PageRank proved the probe equals the base
+      solution, or nobody matches the query), ``"sampled"`` (bounded-error
       forward-push with a certified ``residual_bound``), or ``"global"``
       (the cone exceeded the spec's ceiling, or the session has no
       localized path — the exact global kernel ran).
-    * ``k_hop`` — the cone radius the plan touched (0 = flipped entries
-      only, 2 = the GCN receptive field; -1 when no fixed radius applies:
-      global fallbacks and push cones, whose reach is residual-driven).
     * ``cone_size`` / ``n_people`` — touched-node count vs the network.
     * ``epsilon`` / ``residual_bound`` — sampled mode only: the requested
       l1 allowance and the certified bound actually achieved
@@ -142,7 +126,6 @@ class LocalizedPlan:
     """
 
     mode: str
-    k_hop: int
     cone_size: int
     n_people: int
     epsilon: Optional[float] = None
@@ -415,65 +398,12 @@ class DeltaSession(abc.ABC):
         ``"exact"`` plan's vector equals :meth:`scores` to the 1e-9 parity
         band, a ``"sampled"`` plan's vector is within its certified
         ``residual_bound`` (l1) of it.  The default has no localized path
-        and answers with the global kernel."""
+        and answers with the global kernel; PageRank alone overrides it."""
         return self.scores(query, overlay), self._global_plan()
 
     def _global_plan(self) -> LocalizedPlan:
         n = self.base.n_people
-        return LocalizedPlan(mode="global", k_hop=-1, cone_size=n, n_people=n)
-
-    def shared_context(self, overlay: NetworkOverlay) -> "SharedProbeContext":
-        """A :class:`SharedProbeContext` pinning ``overlay`` to this
-        session — the handle multi-query probe consumers (SHAP value
-        functions) hold while sweeping query subsets."""
-        return SharedProbeContext(self, overlay)
-
-
-class SharedProbeContext:
-    """One overlay's patches pinned against a delta session, answering
-    ``scores`` for many queries.
-
-    KernelSHAP value functions evaluate the *same* perturbed network under
-    hundreds of query subsets (factual query explanations mask query terms
-    while the network stays fixed).  A context fixes the overlay once, so
-    the overlay-side work — the patched propagation operator, transition
-    matrix, or profile rows — is derived a single time (through the
-    session's per-flip-set patch caches) and every query probes against
-    it; :meth:`scores_multi` additionally stacks the queries through the
-    session's multi-query kernel where one exists.
-    """
-
-    __slots__ = ("session", "overlay")
-
-    def __init__(self, session: DeltaSession, overlay: NetworkOverlay) -> None:
-        self.session = session
-        self.overlay = overlay
-
-    def valid(self) -> bool:
-        """Usable while the session still serves the overlay's base."""
-        return self.session.valid_for(self.session.base)
-
-    def scores(self, query: Query) -> np.ndarray:
-        spec = active_localized()
-        if spec is not None:
-            scores, plan = self.session.scores_localized(query, self.overlay, spec)
-            spec.record(plan)
-            return scores
-        return self.session.scores(query, self.overlay)
-
-    def scores_multi(self, queries: Sequence[Query]) -> List[np.ndarray]:
-        spec = active_localized()
-        if spec is not None:
-            # Localized plans are per-query cones; the stacked multi-query
-            # kernels are global by construction, so serve sequentially.
-            return [self.scores(q) for q in queries]
-        return self.session.scores_multi(queries, self.overlay)
-
-    def __repr__(self) -> str:
-        return (
-            f"SharedProbeContext(session={type(self.session).__name__}, "
-            f"flips={self.overlay.n_flips})"
-        )
+        return LocalizedPlan(mode="global", cone_size=n, n_people=n)
 
 
 class GcnDeltaSession(DeltaSession):
@@ -499,18 +429,14 @@ class GcnDeltaSession(DeltaSession):
         self._adj_norm = _normalize(self._a_hat, self._deg)
         # query -> (base feature matrix, normalized query vector)
         self._feat_cache = _LruCache(_MAX_QUERY_CACHE)
-        # query -> (xw1, h1w2, base scores): the base forward's
-        # intermediates, kept so restricted probes splice instead of
-        # recomputing (see ``_restricted_scores``)
-        self._fwd_cache = _LruCache(_MAX_QUERY_CACHE)
+        # query -> base score vector
+        self._score_cache = _LruCache(_MAX_QUERY_CACHE)
         # edge-flip set -> patched normalized adjacency: multi-query probe
         # sweeps re-score one overlay under many query subsets, and the
         # renormalization is the overlay-side cost worth paying once.
         self._adj_cache = _LruCache(_MAX_PATCH_CACHE)
-        self.restricted_probes = 0  # observability: neighborhood-restricted
-        self.full_forwards = 0  # ... vs full patched forwards served
 
-    _SPILL_CACHES = ("_feat_cache", "_fwd_cache", "_adj_cache")
+    _SPILL_CACHES = ("_feat_cache", "_score_cache", "_adj_cache")
 
     def valid_for(self, base: CollaborationNetwork) -> bool:
         """Also invalid once the ranker was refit (new vocabulary)."""
@@ -522,15 +448,11 @@ class GcnDeltaSession(DeltaSession):
     def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
         if not query:
             # The ranker's plain path short-circuits empty queries to zero
-            # scores before any forward; direct session consumers (shared
-            # contexts, multi-query flushes) must see the same semantics.
+            # scores before any forward; direct session consumers
+            # (multi-query flushes) must see the same semantics.
             return np.zeros(self.base.n_people)
         if not overlay.skill_flips() and not overlay.edge_flips():
-            return self._base_forward(query)[2].copy()
-        restricted = self._try_restricted(query, overlay)
-        if restricted is not None:
-            return restricted
-        self.full_forwards += 1
+            return self._base_scores(query).copy()
         feats, adj_norm = self.probe_inputs(query, overlay)
         return self.backend.gcn_forward(
             self.ranker._scorer, feats, adj_norm
@@ -548,24 +470,13 @@ class GcnDeltaSession(DeltaSession):
         overlays = list(overlays)
         if len(overlays) <= 1 or not query:
             return [self.scores(query, ov) for ov in overlays]
-        # On large graphs, overlays whose receptive field qualifies for
-        # the restricted splice are cheaper than their share of a stacked
-        # forward (the splice touches O(|ball|) rows, the stack k·n); on
-        # small graphs the amortized stack wins, so everything with flips
-        # is batched into one block-diagonal forward.
-        splice_ok = self.base.n_people >= _BATCH_RESTRICT_MIN_N
         results: List[Optional[np.ndarray]] = [None] * len(overlays)
         stacked_idx: List[int] = []
         for i, overlay in enumerate(overlays):
             if not overlay.skill_flips() and not overlay.edge_flips():
-                results[i] = self._base_forward(query)[2].copy()
-                continue
-            if splice_ok:
-                restricted = self._try_restricted(query, overlay)
-                if restricted is not None:
-                    results[i] = restricted
-                    continue
-            stacked_idx.append(i)
+                results[i] = self._base_scores(query).copy()
+            else:
+                stacked_idx.append(i)
         if len(stacked_idx) == 1:
             i = stacked_idx[0]
             results[i] = self.scores(query, overlays[i])
@@ -578,7 +489,6 @@ class GcnDeltaSession(DeltaSession):
             )
             for i, vec in zip(stacked_idx, scored):
                 results[i] = vec
-            self.full_forwards += len(stacked_idx)
         return results  # type: ignore[return-value]
 
     def scores_multi(
@@ -597,7 +507,7 @@ class GcnDeltaSession(DeltaSession):
         edge_flips = overlay.edge_flips()
         if not skill_flips and not edge_flips:
             # Pure query sweep over the base network: every query is a
-            # cached base forward (and stays cached for later splices).
+            # cached base forward.
             return [self.scores(q, overlay) for q in queries]
         adj = (
             self._adj_norm if not edge_flips else self._patched_adjacency(edge_flips)
@@ -627,167 +537,27 @@ class GcnDeltaSession(DeltaSession):
             )
             for q, vec in zip(chunk, out_blocks):
                 scored[q] = vec
-            self.full_forwards += len(chunk)
         for q in queries:
             results.append(scored[q].copy() if q else np.zeros(n))
         return results
 
-    def scores_localized(
-        self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
-    ) -> Tuple[np.ndarray, LocalizedPlan]:
-        """Certified-exact 2-hop splice: a GCN output row reads features
-        within 2 hops and adjacency within 1, so recomputing only the
-        flips' 2-hop receptive field (``_restricted_scores``) is exact —
-        the spec's cone ceiling replaces the engine-side
-        ``_RESTRICT_MAX_FRACTION`` heuristic, and oversize cones fall back
-        to the exact global forward."""
-        n = self.base.n_people
-        if not query:
-            return np.zeros(n), LocalizedPlan(
-                mode="exact", k_hop=0, cone_size=0, n_people=n
-            )
-        if not overlay.skill_flips() and not overlay.edge_flips():
-            return self._base_forward(query)[2].copy(), LocalizedPlan(
-                mode="exact", k_hop=0, cone_size=0, n_people=n
-            )
-        seeds = {p for (p, _) in overlay.skill_flips()}
-        for u, v in overlay.edge_flips():
-            seeds.add(u)
-            seeds.add(v)
-        ball1, ball2 = self._receptive_field(overlay, seeds)
-        if len(ball2) <= max(_BATCH_GROUP, int(n * spec.max_cone_fraction)):
-            self.restricted_probes += 1
-            return (
-                self._restricted_scores(query, overlay, ball1, ball2),
-                LocalizedPlan(
-                    mode="exact", k_hop=2, cone_size=len(ball2), n_people=n
-                ),
-            )
-        self.full_forwards += 1
-        feats, adj_norm = self.probe_inputs(query, overlay)
-        scores = self.backend.gcn_forward(
-            self.ranker._scorer, feats, adj_norm
-        ).copy()
-        return scores, self._global_plan()
+    # A GCN probe has no localized plan: localized scopes take the
+    # base-class global plan.  The name stays in the class ``__dict__``
+    # because perfbench/trace.py wraps every ``search.session`` site
+    # through it (``--trace 1`` raises ``KeyError`` on a missing name).
+    scores_localized = DeltaSession.scores_localized
 
-    def _try_restricted(
-        self, query: Query, overlay: NetworkOverlay
-    ) -> Optional[np.ndarray]:
-        """The neighborhood-restricted splice for ``overlay``, or None when
-        its receptive field is too large for the splice to pay off."""
-        seeds = {p for (p, _) in overlay.skill_flips()}
-        for u, v in overlay.edge_flips():
-            seeds.add(u)
-            seeds.add(v)
-        ball1, ball2 = self._receptive_field(overlay, seeds)
-        n = self.base.n_people
-        if len(ball2) > max(_BATCH_GROUP, int(n * _RESTRICT_MAX_FRACTION)):
-            return None
-        self.restricted_probes += 1
-        return self._restricted_scores(query, overlay, ball1, ball2)
-
-    # ------------------------------------------------------------------
-    # neighborhood-restricted forwards
-    # ------------------------------------------------------------------
-    def _receptive_field(
-        self, overlay: NetworkOverlay, seeds
-    ) -> Tuple[List[int], List[int]]:
-        """(1-hop ball, 2-hop ball) of the flipped entries, expanded over
-        the *union* of base and overlay adjacency.
-
-        The union matters: a removed edge still couples its endpoints'
-        activations to the base values being spliced away from, and an
-        added edge couples them in the probe — both directions must be
-        inside the recomputed set.
-        """
-        base = self.base
-        ball1 = set(seeds)
-        for p in seeds:
-            ball1 |= base.neighbors(p)
-            ball1 |= overlay.neighbors(p)
-        ball2 = set(ball1)
-        for p in ball1:
-            ball2 |= base.neighbors(p)
-            ball2 |= overlay.neighbors(p)
-        return sorted(ball1), sorted(ball2)
-
-    def _base_forward(self, query: Query):
-        """(xw1, h1w2, scores) of the base network's forward pass for
-        ``query`` — the exact op sequence of :class:`_GcnScorer.forward`
-        (matmul, spmv, broadcast add, ``x * (x > 0)``) unrolled so each
-        intermediate can be cached and row-spliced."""
-        hit = self._fwd_cache.get(query)
+    def _base_scores(self, query: Query) -> np.ndarray:
+        """The base network's score vector for ``query`` (cached per
+        query; callers copy before handing it out)."""
+        hit = self._score_cache.get(query)
         if hit is None:
             feats, _ = self._base_features(query)
-            scorer = self.ranker._scorer
-            adj = self._adj_norm
-            be = self.backend
-            xw1 = be.matmul(feats, scorer.conv1.weight.data)
-            z1 = be.spmm(adj, xw1)
-            if scorer.conv1.bias is not None:
-                z1 = z1 + scorer.conv1.bias.data
-            h1 = z1 * (z1 > 0)
-            h1w2 = be.matmul(h1, scorer.conv2.weight.data)
-            z2 = be.spmm(adj, h1w2)
-            if scorer.conv2.bias is not None:
-                z2 = z2 + scorer.conv2.bias.data
-            h2 = z2 * (z2 > 0)
-            out = be.matmul(h2, scorer.head.weight.data)
-            if scorer.head.bias is not None:
-                out = out + scorer.head.bias.data
-            hit = (xw1, h1w2, out.reshape(-1))
-            self._fwd_cache.put(query, hit)
+            hit = self.backend.gcn_forward(
+                self.ranker._scorer, feats, self._adj_norm
+            )
+            self._score_cache.put(query, hit)
         return hit
-
-    def _restricted_scores(
-        self,
-        query: Query,
-        overlay: NetworkOverlay,
-        ball1: List[int],
-        ball2: List[int],
-    ) -> np.ndarray:
-        """Probe scores recomputed only inside the flips' 2-hop receptive
-        field, splicing the cached base activations for every other row.
-
-        Rows outside ``ball2`` provably cannot change: a GCN output row
-        reads features within 2 hops and (patched) adjacency entries
-        within 1 hop, and all of those are base-identical out there.
-        """
-        base_xw1, base_h1w2, base_scores = self._base_forward(query)
-        scorer = self.ranker._scorer
-        be = self.backend
-        skill_flips = overlay.skill_flips()
-        edge_flips = overlay.edge_flips()
-        adj = self._adj_norm if not edge_flips else self._patched_adjacency(edge_flips)
-
-        xw1 = base_xw1
-        if skill_flips:
-            feats, q_vec = self._base_features(query)
-            feats = self._patched_features(feats, q_vec, query, overlay, skill_flips)
-            touched = sorted({p for (p, _) in skill_flips})
-            xw1 = base_xw1.copy()
-            xw1[touched] = be.matmul(feats[touched], scorer.conv1.weight.data)
-
-        rows1 = np.asarray(ball1, dtype=np.int64)
-        z1 = be.spmm(adj.tocsr()[rows1], xw1)
-        if scorer.conv1.bias is not None:
-            z1 = z1 + scorer.conv1.bias.data
-        h1_rows = z1 * (z1 > 0)
-        h1w2 = base_h1w2.copy()
-        h1w2[rows1] = be.matmul(h1_rows, scorer.conv2.weight.data)
-
-        rows2 = np.asarray(ball2, dtype=np.int64)
-        z2 = be.spmm(adj.tocsr()[rows2], h1w2)
-        if scorer.conv2.bias is not None:
-            z2 = z2 + scorer.conv2.bias.data
-        h2_rows = z2 * (z2 > 0)
-        out_rows = be.matmul(h2_rows, scorer.head.weight.data)
-        if scorer.head.bias is not None:
-            out_rows = out_rows + scorer.head.bias.data
-
-        out = base_scores.copy()
-        out[rows2] = out_rows.reshape(-1)
-        return out
 
     def probe_inputs(
         self, query: Query, overlay: NetworkOverlay
@@ -1111,7 +881,7 @@ class PageRankDeltaSession(DeltaSession):
         the reported ``residual_bound`` adds 1e-9 slack for the base
         iterate's own convergence-tolerance defect."""
         n = self.base.n_people
-        exact0 = LocalizedPlan(mode="exact", k_hop=0, cone_size=0, n_people=n)
+        exact0 = LocalizedPlan(mode="exact", cone_size=0, n_people=n)
         if n == 0:
             return np.zeros(0), exact0
         ekey = _edge_key(overlay.edge_flips())
@@ -1207,7 +977,6 @@ class PageRankDeltaSession(DeltaSession):
         delta, res_l1, cone = pushed
         return p0 + delta, LocalizedPlan(
             mode="sampled",
-            k_hop=-1,
             cone_size=cone,
             n_people=n,
             epsilon=spec.epsilon,
@@ -1362,15 +1131,11 @@ class HitsDeltaSession(DeltaSession):
             support[v] += w * (ind[u] + delta_ind.get(u, 0.0))
         return support
 
-    def _probe(
-        self, query: Query, overlay: NetworkOverlay
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """(scores, base-set members) for one probe; members is None when
-        no base set exists at all (an empty network or query)."""
+    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
         n = self.base.n_people
         out = np.zeros(n)
         if n == 0 or not query:
-            return out, None
+            return out
         ind, support, match_counts = self._base_state(query)
         relevant = [
             (p, added)
@@ -1395,28 +1160,7 @@ class HitsDeltaSession(DeltaSession):
             authority = self._authority_for(edge_flips, members)
             match = match_counts[members] / float(len(query))
             out[members] = authority + self.ranker.match_bonus * match
-        return out, members
-
-    def scores(self, query: Query, overlay: NetworkOverlay) -> np.ndarray:
-        return self._probe(query, overlay)[0]
-
-    def scores_localized(
-        self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
-    ) -> Tuple[np.ndarray, LocalizedPlan]:
-        """HITS is localized *by construction*: root/support updates are
-        O(Δ·deg) patches on cached per-query state, and the authority
-        iteration only ever touches the base set (root ∪ its 1-hop
-        neighborhood) — so the plan is the exact :meth:`scores` path with
-        the base-set size surfaced as the cone."""
-        out, members = self._probe(query, overlay)
-        n = self.base.n_people
-        if members is None:
-            return out, LocalizedPlan(
-                mode="exact", k_hop=0, cone_size=0, n_people=n
-            )
-        return out, LocalizedPlan(
-            mode="exact", k_hop=1, cone_size=int(members.size), n_people=n
-        )
+        return out
 
 
 class TfidfDeltaSession(DeltaSession):
@@ -1476,18 +1220,6 @@ class TfidfDeltaSession(DeltaSession):
             # flushes of any size agree exactly.
             out[p] = self.backend.row_dot(vals, q_vec[cols]) if cols.size else 0.0
         return out
-
-    def scores_localized(
-        self, query: Query, overlay: NetworkOverlay, spec: LocalizedSpec
-    ) -> Tuple[np.ndarray, LocalizedPlan]:
-        """TF-IDF rows are per-person, so :meth:`scores` is already the
-        certified-exact localized plan — the cone is exactly the flipped
-        people (edge flips carry no document signal at all)."""
-        n = self.base.n_people
-        touched = {p for (p, _) in overlay.skill_flips()}
-        return self.scores(query, overlay), LocalizedPlan(
-            mode="exact", k_hop=0, cone_size=len(touched), n_people=n
-        )
 
     def _gather_rows(
         self, entries: List[Tuple[int, int, FrozenSet[str]]]
@@ -1650,7 +1382,7 @@ class ProbeEngine:
         # evaluation happened, but the decision itself was recomputed
         # (cheap O(n log n) ranking / team re-formation).
         self.score_hits = 0
-        self.multi_flushes = 0  # shared-context multi-query flushes issued
+        self.multi_flushes = 0  # one-overlay multi-query flushes issued
         self.batch_flushes = 0  # same-query multi-overlay flushes issued
         self.flushed_probes = 0  # states scored through those flushes
         self._memo = _LruCache(_MAX_MEMO)
@@ -1799,12 +1531,11 @@ class ProbeEngine:
 
         Memo hits (decision-level, then score-level) are answered first.
         The remaining states are grouped along *two axes*: states pinning
-        the **same overlay under many queries** flush through the
-        session's :class:`SharedProbeContext` (one
-        :meth:`DeltaSession.scores_multi` call — patches computed once),
+        the **same overlay under many queries** flush through one
+        :meth:`DeltaSession.scores_multi` call (patches computed once),
         and the rest group by query and flush through
         :meth:`DeltaSession.scores_batch` in :data:`_BATCH_GROUP`-sized
-        chunks — for the GCN one stacked multi-probe forward per chunk.
+        chunks.
         Each scored vector is decided via
         :meth:`~repro.explain.targets.DecisionTarget.decide_with_order_scored`
         without a second scoring pass and lands in the score memo for
@@ -1916,7 +1647,7 @@ class ProbeEngine:
     ) -> List[np.ndarray]:
         """One multi-query flush (budget and fault point already charged
         on this thread): a direct session call."""
-        score_list = session.shared_context(overlay).scores_multi(queries)
+        score_list = session.scores_multi(queries, overlay)
         self.multi_flushes += 1
         self.flushed_probes += len(queries)
         return score_list
@@ -1981,23 +1712,6 @@ class ProbeEngine:
     ) -> bool:
         """The decision bit alone (SHAP value functions)."""
         return self.probe(person, query, network)[0]
-
-    def shared_context(
-        self, network: Optional[CollaborationNetwork] = None
-    ) -> Optional[SharedProbeContext]:
-        """A :class:`SharedProbeContext` pinning ``network`` (the base, or
-        an overlay over it) to the target ranker's delta session — None
-        when no session can serve it (``full_rebuild``, foreign network,
-        ranker without a delta path)."""
-        if self.full_rebuild:
-            return None
-        session = self._batch_session()
-        if session is None:
-            return None
-        overlay = self._overlay_for(self.base if network is None else network)
-        if overlay is None:
-            return None
-        return session.shared_context(overlay)
 
     # ------------------------------------------------------------------
     # base commits

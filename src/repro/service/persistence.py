@@ -145,7 +145,7 @@ def restore_registry(
                     stats["team_sessions"] += 1
             entries = payload["score_memos"].get(label)
             if entries:
-                memo = registry._restored_score_memo(system, network)
+                memo = registry._score_memo_for(system, network)
                 for (query, flips), vector in entries:
                     memo.put((query, flips, network.version), vector)
                 stats["memo_entries"] += len(entries)

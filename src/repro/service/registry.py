@@ -117,38 +117,21 @@ class EngineRegistry:
                 or engine.base is not network
                 or engine.base_version != network.version
             ):
-                engine = ProbeEngine(
-                    target, network,
-                    score_memo=self._score_memo_for(target, network),
-                )
+                ranker = getattr(target, "ranker", None)
+                memo = None if ranker is None else self._score_memo_for(ranker, network)
+                engine = ProbeEngine(target, network, score_memo=memo)
                 self._engines.put(key, engine)
                 self.engine_builds += 1
             return engine
 
-    def _score_memo_for(self, target, network: CollaborationNetwork):
-        """The shared (ranker, base, version) score memo — None when the
-        target exposes no ranker (engines then keep a private memo).  The
-        stored (ranker, network) references double as the identity check:
-        a recycled ``id`` after garbage collection may alias the key but
+    def _score_memo_for(self, ranker, network: CollaborationNetwork) -> _LruCache:
+        """The shared (ranker, base, version) score memo, created on first
+        use — by engines for targets with a ranker (engines for rankerless
+        targets keep a private memo) and by the spill restore.  The stored
+        (ranker, network) references double as the identity check: a
+        recycled ``id`` after garbage collection may alias the key but
         never the ``is`` comparison, so a stale memo is replaced instead
         of served."""
-        ranker = getattr(target, "ranker", None)
-        if ranker is None:
-            return None
-        key = (id(ranker), id(network), network.version)
-        hit = self._score_memos.get(key)
-        if hit is not None:
-            stored_ranker, stored_network, memo = hit
-            if stored_ranker is ranker and stored_network is network:
-                return memo
-        memo = _LruCache(_MAX_SCORE_MEMO)
-        self._score_memos.put(key, (ranker, network, memo))
-        return memo
-
-    def _restored_score_memo(self, ranker, network: CollaborationNetwork) -> _LruCache:
-        """The shared (ranker, base, version) score memo, for the restore
-        path — the same store :meth:`_score_memo_for` fills, addressed by
-        ranker instead of target."""
         key = (id(ranker), id(network), network.version)
         hit = self._score_memos.get(key)
         if hit is not None and hit[0] is ranker and hit[1] is network:

@@ -78,12 +78,12 @@ class ExplainRequest:
     probe_limit: Optional[int] = None
     # Caller identity for admission control's per-session fair share.
     session: str = ""
-    # Localized probe plans: probes touch only the flips' k-hop cone —
-    # certified-exact splices where the ranker's math allows, the
-    # bounded-error forward-push PageRank kernel (l1 error <= epsilon)
-    # where it doesn't, exact global fallback when the cone exceeds the
-    # size ceiling.  ``epsilon`` tunes the sampled mode (None = the
-    # runtime default); it requires ``localized=True``.
+    # Localized probe plans: PageRank probes run the bounded-error
+    # forward-push kernel (l1 error <= epsilon) over the flips' cone,
+    # with an exact global fallback when the cone exceeds the size
+    # ceiling; other rankers run their exact global kernel.  ``epsilon``
+    # tunes the sampled mode (None = the runtime default); it requires
+    # ``localized=True``.
     localized: bool = False
     epsilon: Optional[float] = None
 
@@ -177,8 +177,8 @@ class ExplainResponse:
     ``localized`` carries the localized-scope summary for requests that
     asked for it: ``{"epsilon", "exact", "sampled", "global",
     "max_residual_bound"}`` — per-mode plan counts plus the worst
-    certified l1 bound any sampled probe reported (0.0 when every probe
-    ran exact).  None for global-mode requests.
+    certified l1 bound any sampled probe reported (0.0 when no probe was
+    sampled).  None for global-mode requests.
     """
 
     request: ExplainRequest

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from repro.graph.network import CollaborationNetwork
 from repro.graph.overlay import NetworkOverlay
-from repro.graph.perturbations import Query, as_query
+from repro.graph.perturbations import Query
 from repro.runtime import delta_bypassed
 
 
@@ -137,12 +137,3 @@ class TeamFormationSystem(abc.ABC):
     ) -> bool:
         """M_pi(q, G): is ``person`` on the formed team?"""
         return person in self.form(query, network, seed_member=seed_member)
-
-
-def coverage_split(query: Query, members: Set[int], network: CollaborationNetwork):
-    """(covered, uncovered) query terms for a member set."""
-    query = as_query(query)
-    covered: Set[str] = set()
-    for m in members:
-        covered |= network.skills(m) & query
-    return frozenset(covered), frozenset(query - covered)

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.explain import (
     Counterfactual,
@@ -238,3 +240,117 @@ class TestServiceRoundTrip:
         assert back.coalesced
         assert back.explanation.attributions == explanation.attributions
         assert back.ok and back.degraded
+
+
+# ---------------------------------------------------------------------------
+# property: a wire round trip never changes an explanation's signature
+# ---------------------------------------------------------------------------
+_ids = st.integers(0, 10_000)
+_terms = st.text(alphabet="abcdefgh-_ ", min_size=1, max_size=8)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_edge = st.tuples(_ids, _ids).filter(lambda uv: uv[0] != uv[1])
+_features = st.one_of(
+    st.builds(QueryTermFeature, _terms),
+    st.builds(SkillAssignmentFeature, _ids, _terms),
+    _edge.map(lambda uv: EdgeFeature(*uv)),
+)
+_perturbations = st.one_of(
+    st.builds(AddSkill, _ids, _terms),
+    st.builds(RemoveSkill, _ids, _terms),
+    _edge.map(lambda uv: AddEdge(*uv)),
+    _edge.map(lambda uv: RemoveEdge(*uv)),
+    st.builds(AddQueryTerm, _terms),
+    st.builds(RemoveQueryTerm, _terms),
+)
+_factual = st.builds(
+    FactualExplanation,
+    person=_ids,
+    query=st.frozensets(_terms, max_size=4),
+    attributions=st.lists(
+        st.builds(FeatureAttribution, _features, _finite), max_size=8
+    ),
+    base_value=_finite,
+    full_value=_finite,
+    n_evaluations=st.integers(0, 10**6),
+    elapsed_seconds=st.floats(0.0, 1e4),
+    method=st.sampled_from(["exact", "kernel", "exact-partial"]),
+    pruned=st.booleans(),
+    kind=st.sampled_from(["skills", "query", "collaborations"]),
+)
+_counterfactual = st.builds(
+    CounterfactualExplanation,
+    person=_ids,
+    query=st.frozensets(_terms, max_size=4),
+    counterfactuals=st.lists(
+        st.builds(
+            Counterfactual,
+            st.lists(_perturbations, min_size=1, max_size=4).map(tuple),
+            _finite,
+        ),
+        max_size=5,
+    ),
+    initial_decision=st.booleans(),
+    n_probes=st.integers(0, 10**6),
+    elapsed_seconds=st.floats(0.0, 1e4),
+    kind=st.sampled_from(["skill_removal", "skill_addition", "link_removal"]),
+    pruned=st.booleans(),
+    timed_out=st.booleans(),
+    candidate_count=st.integers(0, 10**4),
+)
+
+
+def _over_the_wire(payload):
+    return json.loads(json.dumps(payload, allow_nan=False))
+
+
+@st.composite
+def _explained_requests(draw):
+    """A request and an explanation of the family its kind asks for."""
+    from repro.service import COUNTERFACTUAL_KINDS, FACTUAL_KINDS, ExplainRequest
+
+    factual = draw(st.booleans())
+    explanation = draw(_factual if factual else _counterfactual)
+    team = draw(st.booleans())
+    request = ExplainRequest(
+        kind=draw(st.sampled_from(FACTUAL_KINDS if factual else COUNTERFACTUAL_KINDS)),
+        person=explanation.person,
+        query=tuple(sorted(explanation.query)),
+        team=team,
+        seed_member=draw(st.none() | _ids) if team else None,
+    )
+    return request, explanation
+
+
+class TestSignatureRoundTrip:
+    """``explanation_signature`` is the service's bit-exact parity digest,
+    so a serialize round trip (through JSON text, as on the wire) must
+    leave it unchanged for any finite explanation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_explained_requests())
+    def test_explanation_round_trip(self, case):
+        from repro.explain.serialize import explanation_from_dict, explanation_to_dict
+        from repro.service import explanation_signature
+
+        request, explanation = case
+        back = explanation_from_dict(_over_the_wire(explanation_to_dict(explanation)))
+        assert type(back) is type(explanation)
+        assert explanation_signature(request, back) == explanation_signature(
+            request, explanation
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_explained_requests(), elapsed=st.floats(0.0, 1e4))
+    def test_response_round_trip(self, case, elapsed):
+        from repro.explain.serialize import response_from_dict, response_to_dict
+        from repro.service import ExplainResponse, explanation_signature
+
+        request, explanation = case
+        response = ExplainResponse(
+            request=request, explanation=explanation, elapsed_seconds=elapsed
+        )
+        back = response_from_dict(_over_the_wire(response_to_dict(response)))
+        assert back.request == request
+        assert explanation_signature(
+            back.request, back.explanation
+        ) == explanation_signature(request, explanation)

@@ -1,10 +1,11 @@
-"""SHAP exactness through the shared multi-query probe sessions.
+"""SHAP exactness through the multi-query probe flushes.
 
 The biased-assessment literature (Decorte et al.) insists explanation
 pipelines be validated against exact references.  This suite does that for
-the PR-4 shared-session machinery: the KernelSHAP estimator, with its
-value function routed through one :class:`ProbeEngine` (shared multi-query
-contexts + batched delta forwards + the two-level score memo), must agree
+the batched probe machinery: the KernelSHAP estimator, with its value
+function routed through one :class:`ProbeEngine` (multi-query
+``scores_multi`` flushes + batched delta forwards + the two-level score
+memo), must agree
 with exhaustive Shapley enumeration on small networks — for **every
 ranker** — and every produced :class:`ShapResult` must satisfy the
 efficiency axiom.
@@ -58,7 +59,7 @@ def _subject(ranker, net, query):
 
 class TestKernelEqualsExactThroughSharedSessions:
     """``kernel_shap`` (full enumeration budget, no L1) == ``exact_shap``
-    when both route through the shared multi-query context."""
+    when both route through the multi-query probe flushes."""
 
     @pytest.mark.parametrize("ranker_name", sorted(RANKERS))
     def test_query_features(self, ranker_name):

@@ -5,7 +5,15 @@ import pytest
 from repro.graph import CollaborationNetwork
 from repro.explain import MembershipTarget, RelevanceTarget
 from repro.search import CoverageExpertRanker
-from repro.team import CoverTeamFormer, MstTeamFormer
+from repro.team import CoverTeamFormer, Team, TeamFormationSystem
+
+
+class _RankerlessFormer(TeamFormationSystem):
+    """A former with no ``.ranker``: the team is the seed member alone."""
+
+    def form(self, query, network, seed_member=None, scores=None):
+        members = frozenset() if seed_member is None else frozenset({seed_member})
+        return Team(members, seed_member, frozenset(), frozenset(query))
 
 
 @pytest.fixture
@@ -55,6 +63,6 @@ class TestMembershipTarget:
         assert order == 1.0
 
     def test_rankerless_former_rejected(self, net):
-        target = MembershipTarget(MstTeamFormer())
+        target = MembershipTarget(_RankerlessFormer())
         with pytest.raises(AttributeError, match="ranker"):
             _ = target.ranker

@@ -137,11 +137,6 @@ class TestNeighborhoods:
         assert simple.edges_within({0, 1, 2}) == [(0, 1), (1, 2)]
         assert simple.edges_within({0, 2}) == []
 
-    def test_shortest_path_length(self, simple):
-        assert simple.shortest_path_length(0, 0) == 0
-        assert simple.shortest_path_length(0, 2) == 2
-        assert simple.shortest_path_length(0, 3) is None
-
 
 class TestDerivedMatrices:
     def test_adjacency_csr_symmetric(self, simple):

@@ -581,29 +581,6 @@ class TestGcnBatchedSession:
             plain[0], small_gcn_ranker.scores(q, net), rtol=0, atol=1e-9
         )
 
-    def test_restricted_forward_counts(self, small_gcn_ranker, small_dataset, small_query, monkeypatch):
-        """With the threshold wide open the session serves restricted
-        forwards; with it closed it serves full forwards — both exact."""
-        import repro.search.engine as engine_mod
-
-        net = small_dataset.network
-        skill = sorted(net.skills(3))[0]
-        overlay, q = apply_perturbations(net, small_query, [RemoveSkill(3, skill)])
-        reference = None
-        small_gcn_ranker.full_rebuild = True
-        try:
-            reference = small_gcn_ranker.scores(q, overlay)
-        finally:
-            small_gcn_ranker.full_rebuild = False
-        for fraction, attr in ((1.0, "restricted_probes"), (0.0, "full_forwards")):
-            monkeypatch.setattr(engine_mod, "_RESTRICT_MAX_FRACTION", fraction)
-            monkeypatch.setattr(engine_mod, "_BATCH_GROUP", 0)
-            session = small_gcn_ranker.delta_session(net)
-            np.testing.assert_allclose(
-                session.scores(q, overlay), reference, rtol=0, atol=1e-9
-            )
-            assert getattr(session, attr) == 1
-
 
 class TestLruEviction:
     """Bounded caches evict one least-recently-used entry at capacity —

@@ -17,8 +17,7 @@ and including annihilating add-then-remove pairs — and asserts
 * random probe *batches* through ``scores_batch`` equal sequential
   ``scores`` calls and full rebuilds to 1e-9 for **every ranker** (the
   PR-4 batched delta forwards), and random multi-*query* sweeps through
-  ``SharedProbeContext.scores_multi`` equal per-query scoring and full
-  rebuilds the same way,
+  ``scores_multi`` equal per-query scoring and full rebuilds the same way,
 * mixed service workloads answer identically across per-call facade
   invocation, deterministic single-thread ``explain_many``, and sharded
   execution,
@@ -209,27 +208,6 @@ class TestGcnScoreFuzz:
     def test_full(self, small_gcn_ranker, small_dataset, chain_length, seed):
         self._run_chain(small_gcn_ranker, small_dataset.network, chain_length, seed)
 
-    @pytest.mark.parametrize("seed", QUICK_SEEDS)
-    def test_restricted_forward_forced(
-        self, small_gcn_ranker, small_dataset, seed, monkeypatch
-    ):
-        """With the restriction threshold forced wide open, every flip
-        chain takes the spliced 2-hop path — parity must survive it."""
-        import repro.search.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod, "_RESTRICT_MAX_FRACTION", 1.0)
-        net = small_dataset.network
-        rng = np.random.default_rng(555 + seed)
-        query = _random_query(net, rng)
-        overlay = _random_chain(net, rng, 3)
-        # A fresh session so the forced threshold is what serves the probe.
-        session = small_gcn_ranker.delta_session(net)
-        fast = session.scores(query, overlay)
-        if overlay.n_flips:
-            assert session.restricted_probes > 0
-        slow = _reference_scores(small_gcn_ranker, query, overlay)
-        np.testing.assert_allclose(fast, slow, rtol=0, atol=ATOL)
-
 
 # ----------------------------------------------------------------------
 # localized plans: mode-aware parity against full rebuild
@@ -239,7 +217,8 @@ class TestLocalizedScoreFuzz:
     the mode-aware contract: exact and global plans match to 1e-9, a
     sampled plan's l1 error stays inside its *certified* residual bound,
     and that bound never exceeds the scope's epsilon (plus the base
-    iterate's 1e-9 tolerance slack)."""
+    iterate's 1e-9 tolerance slack).  PageRank is the only ranker with a
+    localized plan; every other session reports ``global``."""
 
     N_PROBES = 4
 
@@ -258,6 +237,8 @@ class TestLocalizedScoreFuzz:
             scores, plan = session.scores_localized(query, overlay, spec)
             spec.record(plan)
             assert overlay._mat is None, "localized path materialized"
+            if ranker_name != "pagerank":
+                assert plan.mode == "global", (ranker_name, plan)
             slow = _reference_scores(ranker, query, overlay)
             err = float(np.abs(scores - slow).sum())
             if plan.mode == "sampled":
@@ -295,8 +276,8 @@ class TestLocalizedScoreFuzz:
 
     @pytest.mark.parametrize("seed", QUICK_SEEDS)
     def test_gcn_localized(self, small_gcn_ranker, small_dataset, seed):
-        """The GCN's 2-hop receptive-field splice reports certified-exact
-        plans and matches full rebuild."""
+        """The GCN has no localized plan: it answers with its global
+        forward, reports ``global`` and matches full rebuild."""
         from repro.runtime import LocalizedSpec
 
         net = small_dataset.network
@@ -306,7 +287,7 @@ class TestLocalizedScoreFuzz:
         session = small_gcn_ranker.delta_session(net)
         spec = LocalizedSpec(epsilon=1e-6)
         scores, plan = session.scores_localized(query, overlay, spec)
-        assert plan.mode in ("exact", "global")
+        assert plan.mode == "global"
         slow = _reference_scores(small_gcn_ranker, query, overlay)
         np.testing.assert_allclose(scores, slow, rtol=0, atol=ATOL)
 
@@ -391,11 +372,11 @@ class TestBatchedScoreFuzz:
 
 
 # ----------------------------------------------------------------------
-# shared multi-query sessions: scores_multi == sequential == full rebuild
+# multi-query flushes: scores_multi == sequential == full rebuild
 # ----------------------------------------------------------------------
 class TestMultiQueryFuzz:
     """One pinned overlay probed under many random query subsets (the SHAP
-    value-function shape) through ``SharedProbeContext.scores_multi`` must
+    value-function shape) through the session's ``scores_multi`` must
     equal per-query ``scores`` calls and full rebuilds to 1e-9 — including
     the empty query subset."""
 
@@ -413,8 +394,7 @@ class TestMultiQueryFuzz:
     def _run_multi(cls, ranker, net, rng, chain_length):
         queries = cls._query_subsets(net, rng)
         overlay = _random_chain(net, rng, chain_length)
-        context = ranker.delta_session(net).shared_context(overlay)
-        multi = context.scores_multi(queries)
+        multi = ranker.delta_session(net).scores_multi(queries, overlay)
         fresh = ranker.delta_session(net)
         sequential = [fresh.scores(q, overlay) for q in queries]
         assert overlay._mat is None, "multi-query path materialized the overlay"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.graph import CollaborationNetwork
 from repro.search import CoverageExpertRanker
-from repro.team import CoverTeamFormer, MstTeamFormer, Team
+from repro.team import CoverTeamFormer, Team
 
 
 @pytest.fixture
@@ -79,43 +79,6 @@ class TestCoverTeamFormer:
         team = former.form(["graph"], net, seed_member=0)
         assert 0 in team
         assert 4 not in team
-
-
-class TestMstTeamFormer:
-    def test_covers_query(self, net):
-        team = MstTeamFormer().form(["graph", "vision"], net)
-        assert team.covers_query
-
-    def test_connects_through_paths(self, net):
-        team = MstTeamFormer().form(["graph", "privacy"], net)
-        # Path a..d requires b and c as connectors.
-        assert {0, 1, 2, 3} <= team.members
-
-    def test_rarest_first_prefers_scarce_skill_holder(self):
-        net = CollaborationNetwork()
-        net.add_person("gen1", {"common"})
-        net.add_person("gen2", {"common"})
-        net.add_person("rare", {"rare", "common"})
-        net.add_edge(0, 2)
-        net.add_edge(1, 2)
-        team = MstTeamFormer().form(["rare", "common"], net)
-        # One person covers both: minimal team.
-        assert team.members == {2}
-
-    def test_seed_member_kept(self, net):
-        team = MstTeamFormer().form(["vision"], net, seed_member=0)
-        assert 0 in team.members
-
-    def test_disconnected_holder_kept_as_island(self):
-        net = CollaborationNetwork()
-        net.add_person("a", {"x"})
-        net.add_person("b", {"y"})  # no edges at all
-        team = MstTeamFormer().form(["x", "y"], net)
-        assert team.members == {0, 1}
-
-    def test_invalid_max_size(self):
-        with pytest.raises(ValueError):
-            MstTeamFormer(max_size=0)
 
 
 class TestTeamOnTrainedStack:

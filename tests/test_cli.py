@@ -94,6 +94,18 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["explain", *tiny_args, "--query", "x", "--person", "99999"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain", "--query", "x", "--person", "Nobody Here"],
+            ["team", "--query", "x", "--seed-member", "Nobody Here"],
+        ],
+        ids=["explain-person", "team-seed-member"],
+    )
+    def test_unknown_person_name(self, tiny_args, argv):
+        with pytest.raises(SystemExit, match="no person named 'Nobody Here'"):
+            main([argv[0], *tiny_args, *argv[1:]])
+
     def test_workload_with_json(self, capsys, tiny_args, tmp_path):
         out_file = tmp_path / "workload.json"
         code = main(
