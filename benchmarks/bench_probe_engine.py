@@ -472,14 +472,16 @@ def run_batch_matrix(
     """Batched delta forwards vs. the per-probe delta path, per ranker.
 
     One query, ``n_states`` random overlays: the batched pass flushes each
-    ``group`` through ``DeltaSession.scores_batch`` (the GCN's stacked
-    block-diagonal forward, PageRank's stacked power iterations, TF-IDF's
-    multi-row sparse gathers); the per-probe pass scores the same overlays
-    one at a time.  HITS has no row: its ``scores_batch`` is the
+    ``group`` through ``DeltaSession.scores_batch`` (for the GCN, one
+    array pass assembles the group's features and block-diagonal operator
+    and one forward scores it; PageRank's stacked power iterations;
+    TF-IDF's multi-row sparse gathers); the per-probe pass scores the same
+    overlays one at a time through ``scores`` (the GCN's one-block
+    assembly and forward).  HITS has no row: its ``scores_batch`` is the
     base-class loop over ``scores``, so both passes would time the same
-    code.  Each pass runs
-    on a *fresh* session so neither is answered from the other's caches.
-    Parity to 1e-9 on every probe.  ``repeats`` takes the best of N timed
+    code.  Each pass opens a *fresh* session, warmed with one probe, so
+    neither is answered from the other's caches.  Parity to 1e-9 on
+    every probe.  ``repeats`` takes the best of N timed
     passes per side, *alternating* sides within each repeat — running all
     per-probe passes first and all batched passes second bakes CPU
     frequency drift into the ratio (the second block measured ~10% slow,

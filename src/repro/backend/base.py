@@ -201,16 +201,14 @@ class NumericBackend(abc.ABC):
 
     @abc.abstractmethod
     def gcn_forward_blocks(
-        self,
-        scorer,
-        feats_blocks: Sequence[np.ndarray],
-        adj_blocks: Sequence[sp.spmatrix],
+        self, scorer, features: np.ndarray, adj: sp.spmatrix, k: int
     ) -> List[np.ndarray]:
-        """Score a group of equally-sized probe blocks — one (features,
-        propagation operator) pair per probe — returning one caller-owned
-        score vector per block.  The numpy backend fuses the group into a
-        single block-diagonal forward; a conforming backend may equally
-        loop :meth:`gcn_forward`."""
+        """One caller-owned score vector per probe of a ``k``-probe stack:
+        ``features`` is ``(k·n, d)``, probe ``i`` in rows ``i·n`` to
+        ``(i+1)·n``, and ``adj`` the block-diagonal ``(k·n, k·n)``
+        operator whose ``i``-th block propagates probe ``i``.  The numpy
+        backend runs one forward over the stack; a conforming backend may
+        equally slice the diagonal blocks and loop :meth:`gcn_forward`."""
 
     @abc.abstractmethod
     def block_diag_csr(self, mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:

@@ -2,9 +2,8 @@
 
 The kernel bodies here are the profiled hot paths the delta sessions ran
 inline before the backend seam existed: the warm-started (and stacked)
-PageRank power iterations, the HITS authority iteration, the hand-rolled
-block-diagonal CSR stack feeding batched GCN forwards, and the TF-IDF
-multi-row gathers.
+PageRank power iterations, the HITS authority iteration, the stacked GCN
+forward, and the TF-IDF multi-row gathers.
 
 Bit-stability notes (load-bearing for the composition-insensitivity
 contract in :mod:`repro.backend.base`):
@@ -19,9 +18,13 @@ contract in :mod:`repro.backend.base`):
   independent of ``k``: the spmm is per-column independent and the
   axis-0 reductions accumulate row-by-row per column, so a walk's
   solution does not depend on which other walks shared its stack.
-* ``gcn_forward_blocks`` stacks blocks through one block-diagonal
-  forward; CSR row independence and the dgemm's fixed K-pass keep each
-  block's rows identical to a standalone forward.
+* ``gcn_forward_blocks`` runs one forward over the caller's stacked
+  features and block-diagonal operator; CSR row independence and the
+  dgemm's fixed K-pass keep each block's rows identical to a standalone
+  forward when every block starts on the BLAS kernels' row grouping
+  (``n % 4 == 0`` with OpenBLAS's Haswell kernels).  Otherwise the
+  scorer head's matrix-vector product may round a row differently, by
+  ulps, at another offset.
 """
 
 from __future__ import annotations
@@ -312,25 +315,17 @@ class NumpyBackend(NumericBackend):
         return scorer.forward(features, adj).numpy()
 
     def gcn_forward_blocks(
-        self,
-        scorer,
-        feats_blocks: Sequence[np.ndarray],
-        adj_blocks: Sequence[sp.spmatrix],
+        self, scorer, features: np.ndarray, adj: sp.spmatrix, k: int
     ) -> List[np.ndarray]:
-        feats_blocks = list(feats_blocks)
-        adj_blocks = list(adj_blocks)
-        if len(feats_blocks) == 1:
-            return [self.gcn_forward(scorer, feats_blocks[0], adj_blocks[0]).copy()]
-        stacked = np.concatenate(feats_blocks, axis=0)
-        big_adj = self.block_diag_csr([a.tocsr() for a in adj_blocks])
-        out = self.gcn_forward(scorer, stacked, big_adj)
-        n = feats_blocks[0].shape[0]
-        return [out[j * n : (j + 1) * n].copy() for j in range(len(feats_blocks))]
+        out = self.gcn_forward(scorer, features, adj)
+        n = features.shape[0] // k
+        return [out[j * n : (j + 1) * n].copy() for j in range(k)]
 
     def block_diag_csr(self, mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:
         # Hand-rolled index arithmetic; the generic ``sp.block_diag``
-        # round-trips through COO and costs more than the batched forward
-        # it feeds.
+        # round-trips through COO.  No session calls it any more (the GCN
+        # session assembles its block-diagonal operator from tiled base
+        # arrays); perfbench's kernel list still names it.
         mats = list(mats)
         n = mats[0].shape[0]
         nnz_offsets = np.cumsum([0] + [m.nnz for m in mats])

@@ -161,14 +161,14 @@ class ReferenceBackend(NumpyBackend):
         return delta, l1, len(member)
 
     def gcn_forward_blocks(
-        self,
-        scorer,
-        feats_blocks: Sequence[np.ndarray],
-        adj_blocks: Sequence[sp.spmatrix],
+        self, scorer, features: np.ndarray, adj: sp.spmatrix, k: int
     ) -> List[np.ndarray]:
+        # Each probe alone: its diagonal block of the operator, its rows
+        # of the features, so no score can depend on its flush-mates.
+        adj, n = adj.tocsr(), features.shape[0] // k
+        blocks = [slice(j * n, (j + 1) * n) for j in range(k)]
         return [
-            self.gcn_forward(scorer, feats, adj).copy()
-            for feats, adj in zip(feats_blocks, adj_blocks)
+            self.gcn_forward(scorer, features[b], adj[b, b]).copy() for b in blocks
         ]
 
     def block_diag_csr(self, mats: Sequence[sp.csr_matrix]) -> sp.csr_matrix:

@@ -18,10 +18,11 @@ probe.  This module makes probes O(Δ) for **all four shipped rankers**:
 
   Per-ranker implementations:
 
-  - :class:`GcnDeltaSession` — cached base feature matrix + the GCN
-    propagation operator ``D^-1/2 (A+I) D^-1/2``; a skill flip re-derives
-    one feature row, an edge flip is spliced into the CSR arrays of the
-    cached ``A+I`` (:func:`_flip_csr`) and re-normalized.
+  - :class:`GcnDeltaSession` — cached base features per query and the
+    base ``A+I`` tiled down a block diagonal; a flush of up to
+    :data:`_BATCH_GROUP` probes splices every edge flip into the tiles in
+    one :func:`_flip_csr` call, normalizes ``D^-1/2 (A+I) D^-1/2`` once
+    and re-derives only the feature rows whose skills flipped.
   - :class:`PageRankDeltaSession` — cached transition operator (adjacency +
     out-degrees) and, per query, the restart counts and base solution; a
     probe patches the restart vector / degrees in O(Δ) and warm-starts
@@ -40,7 +41,7 @@ probe.  This module makes probes O(Δ) for **all four shipped rankers**:
   Every session also answers ``scores_multi`` — many queries against one
   overlay, the shape of a SHAP sweep that masks query terms while the
   network stays fixed — and ``scores_batch`` — one query against many
-  overlays.  The GCN runs either group as one block-diagonal forward,
+  overlays.  The GCN runs either as one block-diagonal forward per flush,
   PageRank as stacked warm-started power iterations through shared
   ``(n, k)`` spmm kernels, and TF-IDF gathers its patched profile rows
   once; HITS loops :meth:`DeltaSession.scores`.  Under a localized scope
@@ -72,9 +73,11 @@ probe.
 from __future__ import annotations
 
 import abc
+import functools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -182,6 +185,15 @@ class _LruCache:
         with self._lock:
             self._data.pop(key, None)
 
+    def rekey(self, new_key) -> None:
+        """Replace every key by ``new_key(key)``, dropping those it maps
+        to None, in one pass under the lock: the survivors are built in
+        LRU order and swapped in whole.  ``new_key`` must not touch this
+        cache."""
+        with self._lock:
+            moved = ((new_key(key), value) for key, value in self._data.items())
+            self._data = OrderedDict((k, v) for k, v in moved if k is not None)
+
     def keys(self) -> List:
         with self._lock:
             return list(self._data.keys())
@@ -205,95 +217,112 @@ class _LruCache:
             self._data.clear()
 
 
-def _normalize(a_hat: sp.csr_matrix, deg: np.ndarray) -> sp.csr_matrix:
-    """``D^-1/2 (A+I) D^-1/2`` — same formula (and 1e-12 floor) as
-    :meth:`CollaborationNetwork.normalized_adjacency`, applied by scaling
-    the CSR data directly: ``(a * inv_sqrt[row]) * inv_sqrt[col]`` is the
-    exact multiply order the reference's two diagonal matmuls perform, at
-    a fraction of their cost (no intermediate sparse products)."""
+def _csr_keys(indptr: np.ndarray, indices: np.ndarray, stride: int) -> np.ndarray:
+    """``row * stride + col`` of every stored entry of a canonical CSR
+    (sorted indices, no duplicates; ``stride`` at least its column
+    count), so the keys ascend and ``searchsorted`` finds an entry's
+    position."""
+    rows = np.repeat(np.arange(indptr.size - 1, dtype=np.int64), np.diff(indptr))
+    return rows * stride + indices
+
+
+def _degree_scaled(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, deg: np.ndarray
+) -> np.ndarray:
+    """``data`` of ``D^-1/2 A D^-1/2`` for the CSR ``A`` with row sums
+    ``deg``: ``(a * s[row]) * s[col]``, ``s = 1 / sqrt(max(deg, 1e-12))``
+    — the formula, floor and multiply order of
+    :meth:`CollaborationNetwork.normalized_adjacency`'s two diagonal
+    matmuls, without their intermediate sparse products."""
     inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
-    a_hat = a_hat.tocsr()
-    row_scale = np.repeat(inv_sqrt, np.diff(a_hat.indptr))
-    data = (a_hat.data * row_scale) * inv_sqrt[a_hat.indices]
-    return sp.csr_matrix(
-        (data, a_hat.indices, a_hat.indptr), shape=a_hat.shape, copy=True
-    )
+    return (data * np.repeat(inv_sqrt, np.diff(indptr))) * inv_sqrt[indices]
 
 
-def _csr_keys(adj: sp.csr_matrix) -> np.ndarray:
-    """``row * n + col`` of every stored entry of a canonical CSR (sorted
-    indices, no duplicates), so the keys ascend and ``searchsorted`` finds
-    an entry's position."""
-    n_rows, n_cols = adj.shape
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(adj.indptr))
-    return rows * n_cols + adj.indices
+def _edge_flip_arrays(
+    flip_sets: Sequence[Dict[Tuple[int, int], bool]], n: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, v, signs)`` of every edge flip of ``flip_sets``, the flips
+    of set ``i`` offset by ``i * n`` onto the ``i``-th diagonal block of
+    a block-diagonal stack; the sign is +1.0 for an added edge and −1.0
+    for a removed one."""
+    sizes = [len(flips) for flips in flip_sets]
+    pairs = chain.from_iterable(chain.from_iterable(flip_sets))
+    ends = np.fromiter(pairs, np.int64, 2 * sum(sizes)).reshape(-1, 2)
+    if len(sizes) > 1:
+        ends += np.repeat(np.arange(len(sizes), dtype=np.int64) * n, sizes)[:, None]
+    added = np.fromiter(chain.from_iterable(f.values() for f in flip_sets), bool)
+    return ends[:, 0], ends[:, 1], np.where(added, 1.0, -1.0)
 
 
 def _flip_csr(
-    adj: sp.csr_matrix,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
     keys: np.ndarray,
-    edge_flips: Dict[Tuple[int, int], bool],
-) -> sp.csr_matrix:
-    """The canonical CSR ``adj`` plus a ±1 at both ``(u, v)`` and
-    ``(v, u)`` of every flipped edge (+1 added, −1 removed), built on the
-    CSR arrays: ``keys`` is :func:`_csr_keys` of ``adj``.
+    stride: int,
+    flips: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data)`` of a canonical CSR plus a ±1 at both
+    ``(u, v)`` and ``(v, u)`` of every flip in ``flips``
+    (:func:`_edge_flip_arrays`); ``keys`` is :func:`_csr_keys` of the
+    input under ``stride``.
 
     Bit for bit the matrix scipy's ``adj + delta`` gives for the symmetric
-    ±1 ``delta``: a flipped entry that exists gets the same single float
-    add, one that sums to zero is dropped, a new one is inserted in key
-    order, and the row pointers follow the per-row counts.  The result is
-    canonical too — sorted, no stored zeros, the layout a from-scratch
-    build of the flipped graph has — so every spmv/spmm over it, and
-    every walk over its ``indptr``/``indices`` (the HITS support patch),
-    matches a rebuilt adjacency exactly.  Flip keys are distinct
-    off-diagonal pairs, as overlays and committed deltas record them.
-    Only the flipped positions are visited in Python; the unchanged runs
-    between them are copied as array slices."""
-    n = adj.shape[1]
-    flips = sorted(
-        [(u * n + v, added) for (u, v), added in edge_flips.items()]
-        + [(v * n + u, added) for (u, v), added in edge_flips.items()]
-    )
-    flip_keys = np.array([key for key, _ in flips], dtype=np.int64)
+    ±1 ``delta``, in one ``searchsorted`` merge: a flipped entry that
+    exists gets the same single float add, one that sums to zero is
+    dropped, a new one is inserted in key order, and ``indptr``
+    is rebuilt from the per-row counts.  The result is canonical too —
+    sorted, no stored zeros, a from-scratch build's layout — so every
+    spmv/spmm over it, and every walk over its ``indptr``/``indices``
+    (the HITS support patch), matches a rebuilt adjacency exactly.  Flips
+    are distinct off-diagonal pairs, as overlays and commits record them.
+    Input arrays the flips leave as they were come back as they are
+    (read-only to the caller)."""
+    u, v, signs = flips
+    flip_keys = np.concatenate((u * stride + v, v * stride + u))
+    order = flip_keys.argsort()
+    flip_keys = flip_keys[order]
+    signs = np.concatenate((signs, signs))[order]
     pos = keys.searchsorted(flip_keys)
+    hit = np.zeros(pos.size, dtype=bool)
     if keys.size:
-        found = (keys.take(pos, mode="clip") == flip_keys).tolist()
-        stored = adj.data.take(pos, mode="clip").tolist()
-    else:
-        found = stored = [False] * len(flips)
-    indices, data = adj.indices, adj.data
-    counts = np.diff(adj.indptr)
-    index_parts: List = []
-    value_parts: List = []
-    start = 0
-    for (key, added), p, hit, value in zip(flips, pos.tolist(), found, stored):
-        index_parts.append(indices[start:p])
-        value_parts.append(data[start:p])
-        row, col = divmod(key, n)
-        if hit:
-            start = p + 1
-            value += 1.0 if added else -1.0
-            if value == 0.0:
-                counts[row] -= 1
-                continue
-        else:
-            start = p
-            value = 1.0 if added else -1.0
-            counts[row] += 1
-        index_parts.append((col,))
-        value_parts.append((value,))
-    index_parts.append(indices[start:])
-    value_parts.append(data[start:])
-    indptr = np.zeros_like(adj.indptr)
+        hit = keys.take(pos, mode="clip") == flip_keys
+    at = pos[hit]
+    summed = data[at] + signs[hit]
+    zero = summed == 0.0
+    gone = at[zero]
+    if not zero.all():  # stored entries that stay take their new values
+        data = data.copy()
+        data[at] = summed
+    new = ~hit
+    n_new = int(np.count_nonzero(new))
+    if not gone.size and not n_new:
+        return indptr, indices, data
+    rows = flip_keys // stride
+    counts = np.diff(indptr)
+    if gone.size:
+        counts -= np.bincount(rows[hit][zero], minlength=counts.size)
+        keep = np.ones(indices.size, dtype=bool)
+        keep[gone] = False
+        indices, data = indices[keep], data[keep]
+    if n_new:
+        counts += np.bincount(rows[new], minlength=counts.size)
+        # Output slot of each new entry: its merge position, less the
+        # dropped entries before it, plus the new entries before it.
+        slot = pos[new]
+        slot += np.arange(n_new) - gone.searchsorted(slot)
+        old = np.ones(indices.size + n_new, dtype=bool)
+        old[slot] = False
+        merged_indices = np.empty(old.size, dtype=indices.dtype)
+        merged_indices[old] = indices
+        merged_indices[slot] = flip_keys[new] % stride
+        merged_data = np.empty(old.size)
+        merged_data[old] = data
+        merged_data[slot] = signs[new]
+        indices, data = merged_indices, merged_data
+    indptr = np.zeros_like(indptr)
     np.cumsum(counts, out=indptr[1:])
-    return sp.csr_matrix(
-        (
-            np.concatenate(value_parts),
-            np.concatenate(index_parts, dtype=indices.dtype, casting="same_kind"),
-            indptr,
-        ),
-        shape=adj.shape,
-    )
+    return indptr, indices, data
 
 
 def _edge_key(edge_flips: Dict[Tuple[int, int], bool]) -> FrozenSet:
@@ -334,9 +363,14 @@ class DeltaSession(abc.ABC):
         """``adj`` with ``edge_flips`` applied (:func:`_flip_csr`).  ``adj``
         is the session's base CSR, fixed for the session's whole life, so
         its position keys are computed once, on the first flip."""
+        n = adj.shape[1]
         if self._flip_keys is None:
-            self._flip_keys = _csr_keys(adj)
-        return _flip_csr(adj, self._flip_keys, edge_flips)
+            self._flip_keys = _csr_keys(adj.indptr, adj.indices, n)
+        flips = _edge_flip_arrays([edge_flips], n)
+        indptr, indices, data = _flip_csr(
+            adj.indptr, adj.indices, adj.data, self._flip_keys, n, flips
+        )
+        return sp.csr_matrix((data, indices, indptr), shape=adj.shape)
 
     def valid_for(self, base: CollaborationNetwork) -> bool:
         """Is this session still usable for ``base``?  False once the base
@@ -411,6 +445,10 @@ class GcnDeltaSession(DeltaSession):
 
     Built once per base-network version; serves every overlay over that
     base with O(Δ) feature/adjacency patches instead of full rebuilds.
+    Every forward — one probe, a flush of up to :data:`_BATCH_GROUP`
+    overlays or queries, a base score vector — is assembled by
+    :meth:`_stacked_inputs` over ``_BATCH_GROUP`` copies of the base
+    ``A+I`` tiled down the diagonal once, at build.
     """
 
     def __init__(self, ranker, base: CollaborationNetwork) -> None:
@@ -423,20 +461,25 @@ class GcnDeltaSession(DeltaSession):
         super().__init__(ranker, base)
         self._vocab: Dict[str, int] = vocab
         self._fm: np.ndarray = fm
-        n = base.n_people
-        self._a_hat = (base.adjacency_csr() + sp.identity(n, format="csr")).tocsr()
-        self._deg = np.asarray(self._a_hat.sum(axis=1)).ravel()
-        self._adj_norm = _normalize(self._a_hat, self._deg)
+        n, k = base.n_people, _BATCH_GROUP
+        a_hat = (base.adjacency_csr() + sp.identity(n, format="csr")).tocsr()
+        # A+I and its degrees as k diagonal blocks: a flush of j blocks
+        # reads the first j tiles, keyed with one stride for every j.
+        tile = sp.block_diag([a_hat] * k, format="csr")
+        indptr, indices, data = tile.indptr, tile.indices, tile.data
+        self._tile = (indptr, indices, data, _csr_keys(indptr, indices, k * n))
+        self._tile_deg = np.tile(np.asarray(a_hat.sum(axis=1)).ravel(), k)
+        # The flip-free operator of j blocks, j = 1..k: flushes without
+        # edge flips (base scores, skill-only overlays) reuse it whole.
+        scaled = _degree_scaled(indptr, indices, data, self._tile_deg)
+        op = sp.csr_matrix((scaled, indices, indptr), shape=tile.shape)
+        self._base_ops = [op[: j * n, : j * n] for j in range(1, k + 1)]
         # query -> (base feature matrix, normalized query vector)
         self._feat_cache = _LruCache(_MAX_QUERY_CACHE)
         # query -> base score vector
         self._score_cache = _LruCache(_MAX_QUERY_CACHE)
-        # edge-flip set -> patched normalized adjacency: multi-query probe
-        # sweeps re-score one overlay under many query subsets, and the
-        # renormalization is the overlay-side cost worth paying once.
-        self._adj_cache = _LruCache(_MAX_PATCH_CACHE)
 
-    _SPILL_CACHES = ("_feat_cache", "_score_cache", "_adj_cache")
+    _SPILL_CACHES = ("_feat_cache", "_score_cache")
 
     def valid_for(self, base: CollaborationNetwork) -> bool:
         """Also invalid once the ranker was refit (new vocabulary)."""
@@ -453,93 +496,49 @@ class GcnDeltaSession(DeltaSession):
             return np.zeros(self.base.n_people)
         if not overlay.skill_flips() and not overlay.edge_flips():
             return self._base_scores(query).copy()
-        feats, adj_norm = self.probe_inputs(query, overlay)
-        return self.backend.gcn_forward(
-            self.ranker._scorer, feats, adj_norm
-        ).copy()
+        return self._forward([(query, overlay)])[0]
 
     def scores_batch(
         self, query: Query, overlays: Iterable[NetworkOverlay]
     ) -> List[np.ndarray]:
-        """Batched multi-probe forward: the probe feature matrices of the
-        group are stacked into one ``(k·n, d)`` matrix, their (patched)
-        propagation operators into one block-diagonal ``(k·n, k·n)``
-        sparse operator, and a single :class:`_GcnScorer` forward scores
-        every probe at once — amortizing the per-call dense/sparse kernel
-        overhead that dominates per-probe forwards."""
+        """Batched multi-probe forward: overlays without flips answer from
+        the cached base scores, the rest run in :data:`_BATCH_GROUP`-sized
+        groups, each one block-diagonal forward — amortizing the per-call
+        dense/sparse kernel overhead that dominates per-probe forwards."""
         overlays = list(overlays)
-        if len(overlays) <= 1 or not query:
-            return [self.scores(query, ov) for ov in overlays]
-        results: List[Optional[np.ndarray]] = [None] * len(overlays)
-        stacked_idx: List[int] = []
-        for i, overlay in enumerate(overlays):
-            if not overlay.skill_flips() and not overlay.edge_flips():
-                results[i] = self._base_scores(query).copy()
-            else:
-                stacked_idx.append(i)
-        if len(stacked_idx) == 1:
-            i = stacked_idx[0]
-            results[i] = self.scores(query, overlays[i])
-        elif stacked_idx:
-            blocks = [self.probe_inputs(query, overlays[i]) for i in stacked_idx]
-            scored = self.backend.gcn_forward_blocks(
-                self.ranker._scorer,
-                [feats for feats, _ in blocks],
-                [a.tocsr() for _, a in blocks],
-            )
-            for i, vec in zip(stacked_idx, scored):
-                results[i] = vec
-        return results  # type: ignore[return-value]
+        stacked = [
+            i
+            for i, ov in enumerate(overlays)
+            if query and (ov.skill_flips() or ov.edge_flips())
+        ]
+        blocks = [(query, overlays[i]) for i in stacked]
+        scored = dict(zip(stacked, self._forward(blocks)))
+        # The rest: empty queries (zeros) or flip-free overlays (base scores).
+        return [
+            scored[i] if i in scored else self.scores(query, ov)
+            for i, ov in enumerate(overlays)
+        ]
 
     def scores_multi(
         self, queries: Sequence[Query], overlay: NetworkOverlay
     ) -> List[np.ndarray]:
-        """Stacked multi-*query* forward over one pinned overlay: the
-        patched propagation operator is derived once (and cached per edge
-        flip set), each query contributes its patched feature matrix, and
-        :data:`_BATCH_GROUP`-sized groups run as one block-diagonal forward
+        """Stacked multi-*query* forward over one pinned overlay: each
+        :data:`_BATCH_GROUP`-sized group of distinct queries runs as one
+        block-diagonal forward, every block carrying the overlay's patches
         — the same stacking as :meth:`scores_batch` with the roles of
         query and overlay swapped."""
         queries = list(queries)
-        if len(queries) <= 1:
-            return [self.scores(q, overlay) for q in queries]
-        skill_flips = overlay.skill_flips()
-        edge_flips = overlay.edge_flips()
-        if not skill_flips and not edge_flips:
+        if not overlay.skill_flips() and not overlay.edge_flips():
             # Pure query sweep over the base network: every query is a
             # cached base forward.
             return [self.scores(q, overlay) for q in queries]
-        adj = (
-            self._adj_norm if not edge_flips else self._patched_adjacency(edge_flips)
-        ).tocsr()
-        n = self.base.n_people
-        results: List[np.ndarray] = []
         # Empty query subsets short-circuit to zeros exactly like the
         # ranker's plain path; only distinct real queries join the
         # stacked forward.
         nonempty = list(dict.fromkeys(q for q in queries if q))
-        scored: Dict[Query, np.ndarray] = {}
-        for start in range(0, len(nonempty), _BATCH_GROUP):
-            chunk = nonempty[start : start + _BATCH_GROUP]
-            if len(chunk) == 1:
-                scored[chunk[0]] = self.scores(chunk[0], overlay)
-                continue
-            feats_blocks = []
-            for q in chunk:
-                feats, q_vec = self._base_features(q)
-                if skill_flips:
-                    feats = self._patched_features(
-                        feats, q_vec, q, overlay, skill_flips
-                    )
-                feats_blocks.append(feats)
-            out_blocks = self.backend.gcn_forward_blocks(
-                self.ranker._scorer, feats_blocks, [adj] * len(chunk)
-            )
-            for q, vec in zip(chunk, out_blocks):
-                scored[q] = vec
-        for q in queries:
-            results.append(scored[q].copy() if q else np.zeros(n))
-        return results
+        scored = dict(zip(nonempty, self._forward([(q, overlay) for q in nonempty])))
+        n = self.base.n_people
+        return [scored[q].copy() if q else np.zeros(n) for q in queries]
 
     # A GCN probe has no localized plan: localized scopes take the
     # base-class global plan.  The name stays in the class ``__dict__``
@@ -552,24 +551,73 @@ class GcnDeltaSession(DeltaSession):
         query; callers copy before handing it out)."""
         hit = self._score_cache.get(query)
         if hit is None:
-            feats, _ = self._base_features(query)
-            hit = self.backend.gcn_forward(
-                self.ranker._scorer, feats, self._adj_norm
-            )
+            hit = self._forward([(query, NetworkOverlay(self.base))])[0]
             self._score_cache.put(query, hit)
         return hit
 
-    def probe_inputs(
-        self, query: Query, overlay: NetworkOverlay
-    ) -> Tuple[np.ndarray, sp.spmatrix]:
-        """(node features, normalized adjacency) for the overlaid network,
-        patched from the base caches in O(Δ)."""
-        feats, q_vec = self._base_features(query)
-        skill_flips = overlay.skill_flips()
-        if skill_flips:
-            feats = self._patched_features(feats, q_vec, query, overlay, skill_flips)
-        edge_flips = overlay.edge_flips()
-        adj = self._adj_norm if not edge_flips else self._patched_adjacency(edge_flips)
+    def _forward(
+        self, blocks: Sequence[Tuple[Query, NetworkOverlay]]
+    ) -> List[np.ndarray]:
+        """One caller-owned score vector per ``(query, overlay)`` block, in
+        :data:`_BATCH_GROUP`-sized flushes: a lone block runs
+        ``gcn_forward``, a group one ``gcn_forward_blocks``."""
+        scorer = self.ranker._scorer
+        out: List[np.ndarray] = []
+        for start in range(0, len(blocks), _BATCH_GROUP):
+            chunk = blocks[start : start + _BATCH_GROUP]
+            feats, adj = self._stacked_inputs(chunk)
+            if len(chunk) == 1:
+                out.append(self.backend.gcn_forward(scorer, feats, adj).copy())
+            else:
+                out += self.backend.gcn_forward_blocks(scorer, feats, adj, len(chunk))
+        return out
+
+    def _stacked_inputs(
+        self, blocks: Sequence[Tuple[Query, NetworkOverlay]]
+    ) -> Tuple[np.ndarray, sp.csr_matrix]:
+        """Stacked ``(k·n, d)`` node features and the block-diagonal
+        ``(k·n, k·n)`` operator ``D^-1/2 (A+I) D^-1/2`` for ``k <=
+        _BATCH_GROUP`` ``(query, overlay)`` blocks, in one array pass.
+
+        Every block's edge flips go into the first ``k`` base tiles in one
+        :func:`_flip_csr` call, the degrees take one ``bincount``, and the
+        whole operator is normalized at once (:func:`_degree_scaled`); a
+        flush without edge flips takes the cached flip-free operator.
+        Block ``i`` therefore holds exactly the entries, values and order
+        of ``overlay_i.materialize().normalized_adjacency()``.  Feature
+        block ``i`` is the query's cached base features with the rows of
+        people whose skills the overlay flips re-derived by
+        :meth:`_feature_row_values`."""
+        k, n = len(blocks), self.base.n_people
+        flip_sets = [overlay.edge_flips() for _, overlay in blocks]
+        if any(flip_sets):
+            size = k * n
+            indptr, indices, data, keys = self._tile
+            indptr = indptr[: size + 1]
+            nnz = int(indptr[-1])
+            flips = _edge_flip_arrays(flip_sets, n)
+            ends, signs = np.concatenate(flips[:2]), np.tile(flips[2], 2)
+            deg = self._tile_deg[:size] + np.bincount(ends, signs, size)
+            indptr, indices, data = _flip_csr(
+                indptr, indices[:nnz], data[:nnz], keys[:nnz], _BATCH_GROUP * n, flips
+            )
+            adj = sp.csr_matrix(
+                (_degree_scaled(indptr, indices, data, deg), indices, indptr),
+                shape=(size, size),
+            )
+        else:
+            adj = self._base_ops[k - 1]
+
+        bases = [self._base_features(query) for query, _ in blocks]
+        feats = np.concatenate([base_feats for base_feats, _ in bases])
+        dim = self._fm.shape[1]
+        for i, ((query, overlay), (_, q_vec)) in enumerate(zip(blocks, bases)):
+            for p in {p for p, _ in overlay.skill_flips()}:
+                centroid, match, sim = self._feature_row_values(
+                    overlay.skills(p), query, q_vec
+                )
+                feats[i * n + p, :dim] = centroid
+                feats[i * n + p, dim:] = match, sim
         return feats, adj
 
     def _base_features(self, query: Query) -> Tuple[np.ndarray, np.ndarray]:
@@ -609,42 +657,6 @@ class GcnDeltaSession(DeltaSession):
         norm = float(np.linalg.norm(centroid))
         sim = float(centroid @ q_vec) / max(norm, 1e-12)
         return centroid, match, sim
-
-    def _patched_features(
-        self,
-        base_feats: np.ndarray,
-        q_vec: np.ndarray,
-        query: Query,
-        overlay: NetworkOverlay,
-        skill_flips: Dict[Tuple[int, str], bool],
-    ) -> np.ndarray:
-        feats = base_feats.copy()
-        dim = self._fm.shape[1]
-        touched = sorted({p for (p, _) in skill_flips})
-        for p in touched:
-            centroid, match, sim = self._feature_row_values(
-                overlay.skills(p), query, q_vec
-            )
-            feats[p, :dim] = centroid
-            feats[p, dim] = match
-            feats[p, dim + 1] = sim
-        return feats
-
-    def _patched_adjacency(
-        self, edge_flips: Dict[Tuple[int, int], bool]
-    ) -> sp.spmatrix:
-        key = _edge_key(edge_flips)
-        hit = self._adj_cache.get(key)
-        if hit is not None:
-            return hit
-        deg = self._deg.copy()
-        for (u, v), added in edge_flips.items():
-            w = 1.0 if added else -1.0
-            deg[u] += w
-            deg[v] += w
-        patched = _normalize(self._flipped_csr(self._a_hat, edge_flips), deg)
-        self._adj_cache.put(key, patched)
-        return patched
 
 
 class PageRankDeltaSession(DeltaSession):
@@ -1327,24 +1339,24 @@ def _rekey_memo_entries(memo: _LruCache, delta, survives) -> Tuple[int, int]:
 
     Idempotent by construction — entries already stamped with the new
     version are left untouched — so a registry-shared memo reached
-    through several engines' re-keys is effectively processed once."""
-    retained = dropped = 0
-    for key in memo.keys():
+    through several engines' re-keys is effectively processed once.  One
+    :meth:`_LruCache.rekey` pass; survivors keep their LRU order."""
+    verdict = functools.cache(functools.partial(survives, delta))
+    counts = [0, 0]  # retained, dropped
+
+    def new_key(key):
         # Keys are (query, flips, version) — localized entries append a
         # ("localized", epsilon) suffix that survives re-keying verbatim.
-        query, flips, version = key[0], key[1], key[2]
-        if version == delta.new_version:
-            continue
-        value = memo.get(key)
-        memo.pop(key)
-        if value is None:
-            continue  # evicted concurrently
-        if version == delta.old_version and survives(delta, query):
-            memo.put((query, flips, delta.new_version) + tuple(key[3:]), value)
-            retained += 1
-        else:
-            dropped += 1
-    return retained, dropped
+        if key[2] == delta.new_version:
+            return key
+        if key[2] == delta.old_version and verdict(key[0]):
+            counts[0] += 1
+            return (key[0], key[1], delta.new_version) + key[3:]
+        counts[1] += 1
+        return None
+
+    memo.rekey(new_key)
+    return counts[0], counts[1]
 
 
 class ProbeEngine:
@@ -1752,13 +1764,8 @@ class ProbeEngine:
         # Decision-memo keys carry no version, so survivors must be
         # provably decision-identical over the new base.  The predicate
         # reads only the query, and the memo holds many keys per query.
-        verdicts: Dict[Query, bool] = {}
-        for key in self._memo.keys():
-            query = key[1]
-            if query not in verdicts:
-                verdicts[query] = decisions_survive(delta, query)
-            if not verdicts[query]:
-                self._memo.pop(key)
+        verdict = functools.cache(functools.partial(decisions_survive, delta))
+        self._memo.rekey(lambda key: key if verdict(key[1]) else None)
         retained, dropped = _rekey_memo_entries(
             self._score_memo, delta, scores_survive
         )

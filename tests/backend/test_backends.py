@@ -288,8 +288,10 @@ class TestBackendConformance:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gcn_forward_blocks(self, seed):
-        """Block-diag stacked forwards equal per-block forwards — bitwise,
-        through a linear stand-in scorer (adj @ features @ w)."""
+        """A stacked forward over a block-diagonal operator equals the
+        per-block forwards — bitwise, through a linear stand-in scorer
+        (adj @ features @ w) — on the fused backend and on the reference
+        loop over the diagonal blocks."""
         rng = np.random.default_rng(5000 + seed)
 
         class _Out:
@@ -311,8 +313,11 @@ class TestBackendConformance:
         feats = [rng.standard_normal((n, 6)) for _ in range(3)]
         adjs = [_random_csr(rng, n, n, density=0.3) for _ in range(3)]
         fused, naive = NumpyBackend(), ReferenceBackend()
-        out_f = fused.gcn_forward_blocks(scorer, feats, adjs)
-        out_n = naive.gcn_forward_blocks(scorer, feats, adjs)
+        stacked = np.concatenate(feats)
+        big_adj = fused.block_diag_csr([a.tocsr() for a in adjs])
+        out_f = fused.gcn_forward_blocks(scorer, stacked, big_adj, len(adjs))
+        out_n = naive.gcn_forward_blocks(scorer, stacked, big_adj, len(adjs))
+        assert len(out_f) == len(out_n) == len(adjs)
         for block_f, block_n, f, a in zip(out_f, out_n, feats, adjs):
             np.testing.assert_array_equal(block_f, block_n)
             np.testing.assert_array_equal(

@@ -634,15 +634,95 @@ class TestLruEviction:
         monkeypatch.setattr(engine_mod, "_MAX_QUERY_CACHE", 2)
         net = small_dataset.network
         session = GcnDeltaSession(small_gcn_ranker, net)
-        overlay = NetworkOverlay(net)
         skills = sorted(net.skill_universe())
         hot, qa, qb = (frozenset({s}) for s in skills[:3])
-        session.probe_inputs(hot, overlay)
-        session.probe_inputs(qa, overlay)  # cache now at capacity 2
-        session.probe_inputs(hot, overlay)  # refresh the hot query
-        session.probe_inputs(qb, overlay)  # evicts qa, not the hot query
+        session._base_features(hot)
+        session._base_features(qa)  # cache now at capacity 2
+        session._base_features(hot)  # refresh the hot query
+        session._base_features(qb)  # evicts qa, not the hot query
         assert hot in session._feat_cache
         assert qa not in session._feat_cache
+
+
+class TestMemoRekey:
+    """A commit re-keys each memo level in one pass: survivors keep their
+    LRU order, everything else is dropped, and the counts match the
+    entries that moved."""
+
+    def test_score_memo_mixed_verdicts(self):
+        from repro.graph.network import BaseDelta
+        from repro.search.engine import _LruCache, _rekey_memo_entries
+
+        keep, drop = frozenset({"mining"}), frozenset({"graph"})
+        flips = frozenset({("e", 0, 1, True)})
+        delta = BaseDelta(
+            old_version=3,
+            new_version=4,
+            skill_flips=((0, "graph", True),),
+            edge_flips=(),
+        )
+        memo = _LruCache(16)
+        entries = [
+            ((keep, frozenset(), 3), "a"),
+            ((drop, frozenset(), 3), "b"),
+            ((keep, flips, 4), "c"),  # already re-keyed: left alone
+            ((keep, flips, 3, "localized", 0.1), "d"),
+            ((keep, frozenset(), 2), "e"),  # stale version: dropped
+            ((drop, flips, 3, "localized", 0.1), "f"),
+        ]
+        for key, value in entries:
+            memo.put(key, value)
+        asked = []
+
+        def survives(d, query):
+            assert d is delta
+            asked.append(query)
+            return query == keep
+
+        assert _rekey_memo_entries(memo, delta, survives) == (2, 3)
+        assert memo.items() == [
+            ((keep, frozenset(), 4), "a"),
+            ((keep, flips, 4), "c"),
+            ((keep, flips, 4, "localized", 0.1), "d"),
+        ]
+        assert sorted(asked, key=sorted) == [drop, keep]  # once per query
+        # Idempotent: a second pass over the same delta moves nothing.
+        assert _rekey_memo_entries(memo, delta, survives) == (0, 0)
+        assert [key for key, _ in memo.items()] == [
+            (keep, frozenset(), 4),
+            (keep, flips, 4),
+            (keep, flips, 4, "localized", 0.1),
+        ]
+
+    def test_engine_rekey_mixed_verdicts(self):
+        net = toy_network(n_people=12, seed=0)
+        engine = ProbeEngine(RelevanceTarget(PageRankExpertRanker(), k=3), net)
+        changed = "graph"  # the committed skill: in drop's terms, not keep's
+        keep = frozenset({"mining", "query"})
+        drop = frozenset({changed, "social"})
+        probe = NetworkOverlay(net)
+        probe.add_edge(0, 6)
+        for person in range(net.n_people):
+            for query in (keep, drop):
+                engine.probe(person, query)
+                engine.probe(person, query, probe)
+        decisions = engine._memo.keys()
+        person = next(p for p in net.people() if changed not in net.skills(p))
+        edit = NetworkOverlay(net)
+        edit.add_skill(person, changed)
+        delta = edit.commit()
+
+        assert engine.rekey(delta) == (2, 2)
+        assert engine._memo.keys() == [key for key in decisions if key[1] == keep]
+        score_keys = engine._score_memo.keys()
+        assert [key[0] for key in score_keys] == [keep, keep]
+        assert {key[2] for key in score_keys} == {delta.new_version}
+        hits = engine.hits
+        engine.probe(0, keep)
+        assert engine.hits == hits + 1  # a surviving decision answers
+        misses = engine.misses
+        engine.probe(0, drop)
+        assert engine.misses == misses + 1  # a dropped one is recomputed
 
 
 class TestMemoIsolationAcrossBases:
