@@ -56,9 +56,10 @@ def _build(
     corpus = generate_corpus(synthesis, corpus_recipe)
     network = synthesis.network
     extracted = extract_skills(corpus, network.people(), max_skills=skills_per_person)
-    for person, skills in extracted.items():
-        for skill in skills:
-            network.add_skill(person, skill)
+    network.apply_delta(
+        [(person, skill, True) for person, skills in extracted.items() for skill in skills],
+        (),
+    )
     return DatasetBundle(
         name=name, network=network, corpus=corpus, synthesis=synthesis
     )
@@ -140,10 +141,7 @@ def figure1_network() -> CollaborationNetwork:
         ("Nick Koudas", ["db", "stream processing"]),
         ("Divesh Srivastava", ["db", "data quality"]),
     ]
-    net = CollaborationNetwork()
-    ids: Dict[str, int] = {}
-    for name, skills in people:
-        ids[name] = net.add_person(name, skills)
+    ids: Dict[str, int] = {name: pid for pid, (name, _) in enumerate(people)}
     edges = [
         ("Gerhard Weikum", "Avishek Anand"),
         ("Gerhard Weikum", "Martin Theobald"),
@@ -156,9 +154,11 @@ def figure1_network() -> CollaborationNetwork:
         ("Martin Theobald", "Nick Koudas"),
         ("Divesh Srivastava", "Nick Koudas"),
     ]
-    for a, b in edges:
-        net.add_edge(ids[a], ids[b])
-    return net
+    return CollaborationNetwork.from_parts(
+        [name for name, _ in people],
+        [skills for _, skills in people],
+        [(ids[a], ids[b]) for a, b in edges],
+    )
 
 
 def toy_network(n_people: int = 12, seed: int = 0) -> CollaborationNetwork:
@@ -170,14 +170,14 @@ def toy_network(n_people: int = 12, seed: int = 0) -> CollaborationNetwork:
         "graph", "social", "mining", "database", "query", "neural",
         "vision", "privacy", "stream", "index",
     ]
-    net = CollaborationNetwork()
-    for i in range(n_people):
+    skills = []
+    for _ in range(n_people):
         count = int(rng.integers(2, 5))
         picks = rng.choice(len(skills_pool), size=count, replace=False)
-        net.add_person(f"P{i}", {skills_pool[j] for j in picks})
+        skills.append({skills_pool[j] for j in picks})
     # Ring + chords: connected, degree >= 2, deterministic.
-    for i in range(n_people):
-        net.add_edge(i, (i + 1) % n_people)
-    for i in range(0, n_people - 2, 3):
-        net.add_edge(i, i + 2)
-    return net
+    edges = [(i, (i + 1) % n_people) for i in range(n_people)]
+    edges += [(i, i + 2) for i in range(0, n_people - 2, 3)]
+    return CollaborationNetwork.from_parts(
+        [f"P{i}" for i in range(n_people)], skills, edges
+    )

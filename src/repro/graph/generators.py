@@ -232,8 +232,8 @@ def _zipf_weights(n: int, exponent: float) -> np.ndarray:
     return w / w.sum()
 
 
-#: Accepted-edge chunk size for the streaming path; RNG-neutral (the
-#: sampler's draw sequence never depends on it).
+#: Accepted-edge chunk size; RNG-neutral (the sampler's draw sequence
+#: never depends on it).
 _EDGE_CHUNK = 65536
 
 
@@ -245,12 +245,9 @@ def _edge_key_chunks(
     """Degree-corrected community edges + a random inter-community remainder,
     yielded as chunks of packed ``u * n + v`` int64 keys (u < v).
 
-    The single edge sampler behind both the eager and the streaming build
-    paths: it draws from ``rng`` in exactly one order and dedupes through
-    an integer-key set (identical membership semantics to the tuple set it
-    replaced), so the two paths are RNG-identical by construction.  No
-    per-node Python structure is ever materialized here — a chunk is a
-    plain int64 array.
+    It draws from ``rng`` in exactly one order and dedupes through an
+    integer-key set.  No per-node Python structure is ever materialized
+    here — a chunk is a plain int64 array.
     """
     n = recipe.n_people
     activity = rng.permutation(_zipf_weights(n, recipe.degree_exponent))
@@ -327,29 +324,13 @@ def _edge_key_chunks(
         yield np.array(buffer, dtype=np.int64)
 
 
-def _sample_edges(
-    recipe: NetworkRecipe,
-    memberships: Sequence[Tuple[int, ...]],
-    rng: np.random.Generator,
-) -> Set[Tuple[int, int]]:
-    """Eager view of :func:`_edge_key_chunks` as the historical tuple set."""
-    n = recipe.n_people
-    return {
-        (int(k // n), int(k % n))
-        for chunk in _edge_key_chunks(recipe, memberships, rng)
-        for k in chunk.tolist()
-    }
-
-
 def _chosen_skills(
     recipe: NetworkRecipe,
     comms: Tuple[int, ...],
     pools: Sequence[Tuple[str, ...]],
     rng: np.random.Generator,
 ) -> List[str]:
-    """One person's S_i draw from their communities' pools — the shared
-    per-person sampler of the eager and streaming attach paths (one RNG
-    call sequence, so the two are draw-identical)."""
+    """One person's S_i draw from their communities' pools."""
     merged: List[str] = []
     for c in comms:
         merged.extend(pools[c])
@@ -366,19 +347,6 @@ def _chosen_skills(
     return [merged[idx] for idx in chosen]
 
 
-def _attach_skills(
-    network: CollaborationNetwork,
-    recipe: NetworkRecipe,
-    memberships: Sequence[Tuple[int, ...]],
-    pools: Sequence[Tuple[str, ...]],
-    rng: np.random.Generator,
-) -> None:
-    """Directly sample each person's S_i from their communities' pools."""
-    for person in network.people():
-        for skill in _chosen_skills(recipe, memberships[person], pools, rng):
-            network.add_skill(person, skill)
-
-
 def _skill_id_arrays(
     recipe: NetworkRecipe,
     memberships: Sequence[Tuple[int, ...]],
@@ -386,8 +354,8 @@ def _skill_id_arrays(
     vocabulary: Tuple[str, ...],
     rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Streaming attach: the same per-person draws as :func:`_attach_skills`
-    collected straight into (indptr, ids) CSR arrays over ``vocabulary``."""
+    """Every person's :func:`_chosen_skills` draw, in id order, collected
+    straight into (indptr, ids) CSR arrays over ``vocabulary``."""
     vid = {s: i for i, s in enumerate(vocabulary)}
     indptr = np.zeros(recipe.n_people + 1, dtype=np.int64)
     chunks: List[np.ndarray] = []
@@ -414,44 +382,12 @@ def synthesize_network(
     expected to run the corpus + TF-IDF pipeline (:mod:`repro.text`) to
     attach them, which is what the dataset presets in :mod:`repro.datasets`
     do to mirror the paper's extraction methodology.
-    """
-    rng = np.random.default_rng(recipe.seed)
-    names = make_person_names(recipe.n_people, rng)
-    vocabulary = make_skill_vocabulary(recipe.n_skills, rng)
-    memberships = _assign_communities(recipe, rng)
-    pools = _build_skill_pools(recipe, vocabulary, rng)
 
-    network = CollaborationNetwork()
-    for name in names:
-        network.add_person(name)
-    for u, v in sorted(_sample_edges(recipe, memberships, rng)):
-        network.add_edge(u, v)
-
-    if attach_skills:
-        _attach_skills(network, recipe, memberships, pools, rng)
-
-    return SynthesisResult(
-        network=network,
-        person_communities=memberships,
-        community_skill_pools=pools,
-        skill_vocabulary=vocabulary,
-        recipe=recipe,
-    )
-
-
-def synthesize_network_streaming(
-    recipe: NetworkRecipe,
-    attach_skills: bool = True,
-) -> SynthesisResult:
-    """Generate the same network as :func:`synthesize_network` (same seed ⇒
-    bit-identical :meth:`~repro.graph.network.CollaborationNetwork.state_digest`)
-    but build it directly in compact CSR form.
-
-    Edges stream out of the shared sampler as packed-key chunks and land in
-    flat arrays; skills land as (indptr, ids) arrays; no per-person Python
-    set is ever materialized, so peak memory is O(edges + skill
-    assignments) machine words instead of O(n) Python containers — the
-    build path for the 1e5/1e6-node bench tiers.
+    Edges stream out of the sampler as packed-key chunks and land in flat
+    arrays; skills land as (indptr, ids) arrays; no per-person Python
+    container is ever materialized, so peak memory is O(edges + skill
+    assignments) machine words — the same build serves the dataset
+    presets and the 1e5/1e6-node bench tiers.
     """
     rng = np.random.default_rng(recipe.seed)
     names = make_person_names(recipe.n_people, rng)
@@ -460,8 +396,8 @@ def synthesize_network_streaming(
     pools = _build_skill_pools(recipe, vocabulary, rng)
 
     n = recipe.n_people
-    # Consume the edge stream fully before skill draws — the eager path's
-    # RNG order (edges first, then skills) must be preserved exactly.
+    # Consume the edge stream fully before skill draws: the draw order
+    # (edges first, then skills) fixes every seed's network.
     key_chunks = list(_edge_key_chunks(recipe, memberships, rng))
     keys = (
         np.concatenate(key_chunks) if key_chunks else np.empty(0, dtype=np.int64)
@@ -493,3 +429,8 @@ def synthesize_network_streaming(
         skill_vocabulary=vocabulary,
         recipe=recipe,
     )
+
+
+#: The historical name of :func:`synthesize_network`, kept for the bench
+#: tiers and scripts that build (and trace) it under this name.
+synthesize_network_streaming = synthesize_network

@@ -42,16 +42,17 @@ def network_from_dict(payload: Dict[str, Any]) -> CollaborationNetwork:
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported network format version: {version!r}")
     people = payload["people"]
-    net = CollaborationNetwork()
     for expected_id, person in enumerate(people):
         if person["id"] != expected_id:
             raise ValueError(
                 f"person ids must be contiguous from 0; saw {person['id']} at "
                 f"position {expected_id}"
             )
-        net.add_person(person["name"], person.get("skills", ()))
-    for u, v in payload.get("edges", ()):
-        net.add_edge(int(u), int(v))
+    net = CollaborationNetwork.from_parts(
+        [person["name"] for person in people],
+        [person.get("skills", ()) for person in people],
+        [(int(u), int(v)) for u, v in payload.get("edges", ())],
+    )
     net.validate()
     return net
 

@@ -5,7 +5,6 @@ individuals ``P`` as nodes, undirected collaboration edges ``E``, and a skill
 set ``S_i ⊂ S`` attached to every individual ``p_i``.  This module implements
 that structure with:
 
-* O(1) skill and adjacency membership tests (sets),
 * cheap whole-network copies so counterfactual search can probe thousands of
   perturbed variants,
 * version-stamped caches for the derived numpy/scipy artifacts the neural
@@ -14,27 +13,32 @@ that structure with:
 Node identity is a dense integer id assigned at insertion time; a display
 name is kept alongside for rendering and case studies.
 
-Storage modes
--------------
+Storage
+-------
 
-A network lives in one of two representations:
+CSR arrays are the only source of truth: ``_adj_indptr`` / ``_adj_indices``
+hold the symmetric adjacency (both directions, rows sorted, no self loops)
+and ``_skill_indptr`` / ``_skill_ids`` hold the person→skill relation as
+integer ids into ``_skill_vocab`` (rows sorted by id).  Memory is
+O(edges + skill assignments) machine words, so the same class serves a
+hand-built test fixture and a 1e6-node bench tier.
 
-* **set mode** (the default): per-person Python sets for skills and
-  adjacency.  O(1) membership, cheap in-place mutation — right for the
-  interactive / dynamic-network path, but ~100 bytes per entry, which caps
-  benches far below the million-node north star.
-* **compact mode**: CSR arrays are the source of truth — ``_adj_indptr`` /
-  ``_adj_indices`` for adjacency and ``_skill_indptr`` / ``_skill_ids``
-  (integer ids into ``_skill_vocab``) for the skill relation.  The frozenset
-  accessors (:meth:`skills`, :meth:`neighbors`, …) become lazy adapters that
-  materialize one row on demand; membership tests are ``searchsorted`` on
-  the sorted row.  Built by :meth:`from_csr` (the streaming generators) or
-  :meth:`compact`.
+The arrays are never written in place.  Every edit goes through
+:meth:`CollaborationNetwork.apply_delta`, which merges a batch of flips into
+fresh arrays — one packed-key array merge per relation, ``u·n+v`` for edges
+and ``p·V+id`` for skills — and bumps the version once.  The one-call
+mutators (:meth:`~CollaborationNetwork.add_edge`, …) are thin wrappers
+around it for hand-built networks; bulk builders
+(:meth:`~CollaborationNetwork.from_parts`,
+:meth:`~CollaborationNetwork.from_csr`, the generators) build their arrays
+in one pass or one ``apply_delta``.
 
-Both modes answer every query identically (same digests, same derived
-matrices, same iteration output).  Mutating a compact network *thaws* it
-back to set mode first — an intentional densification: the scale path
-treats bases as frozen, and commits ride the dynamic-network path.
+The frozenset reads (:meth:`~CollaborationNetwork.skills`,
+:meth:`~CollaborationNetwork.neighbors`, and the membership tests and degree
+that read through them) answer from per-person row caches, filled lazily and
+reset with the derived caches on every version bump: the rankers and team
+formers ask for the same few rows thousands of times per explanation, and a
+dictionary hit costs far less than a numpy row slice.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,33 +102,30 @@ class CollaborationNetwork:
 
     __slots__ = (
         "_names",
-        "_skills",
-        "_adj",
-        "_n_edges",
         "_version",
         "_cache",
         "_name_index",
-        # compact-mode source of truth (None while in set mode)
         "_adj_indptr",
         "_adj_indices",
         "_skill_indptr",
         "_skill_ids",
         "_skill_vocab",
+        "_skill_rows",
+        "_adj_rows",
     )
 
     def __init__(self) -> None:
         self._names: List[str] = []
-        self._skills: Optional[List[Set[str]]] = []
-        self._adj: Optional[List[Set[int]]] = []
-        self._n_edges: int = 0
         self._version: int = 0
         self._cache: Dict[str, Tuple[int, object]] = {}
         self._name_index: Optional[Dict[str, int]] = None
-        self._adj_indptr: Optional[np.ndarray] = None
-        self._adj_indices: Optional[np.ndarray] = None
-        self._skill_indptr: Optional[np.ndarray] = None
-        self._skill_ids: Optional[np.ndarray] = None
-        self._skill_vocab: Optional[Tuple[str, ...]] = None
+        self._adj_indptr = np.zeros(1, dtype=np.int64)
+        self._adj_indices = np.empty(0, dtype=np.int32)
+        self._skill_indptr = np.zeros(1, dtype=np.int64)
+        self._skill_ids = np.empty(0, dtype=np.int32)
+        self._skill_vocab: Tuple[str, ...] = ()
+        self._skill_rows: Dict[int, FrozenSet[str]] = {}
+        self._adj_rows: Dict[int, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -136,16 +137,28 @@ class CollaborationNetwork:
         skills: Sequence[Iterable[str]],
         edges: Iterable[Tuple[int, int]],
     ) -> "CollaborationNetwork":
-        """Build a network from parallel name/skill sequences and an edge list."""
+        """Build a network from parallel name/skill sequences and an edge
+        list in one :meth:`apply_delta`.  A repeated or mirrored edge is
+        stored once; a self loop raises ``ValueError`` and an endpoint
+        outside ``names`` raises ``IndexError``."""
         if len(names) != len(skills):
             raise ValueError(
                 f"names and skills must align: {len(names)} names vs {len(skills)} skill sets"
             )
-        net = cls()
-        for name, skill_set in zip(names, skills):
-            net.add_person(name, skill_set)
-        for u, v in edges:
-            net.add_edge(u, v)
+        n = len(names)
+        no_ids = np.empty(0, dtype=np.int32)
+        net = cls.from_csr(
+            names,
+            np.zeros(n + 1, dtype=np.int64),
+            no_ids,
+            np.zeros(n + 1, dtype=np.int64),
+            no_ids.copy(),
+            (),
+        )
+        net.apply_delta(
+            [(p, s, True) for p, held in enumerate(skills) for s in set(held)],
+            {(u, v, True) if u < v else (v, u, True) for u, v in edges},
+        )
         return net
 
     @classmethod
@@ -158,14 +171,14 @@ class CollaborationNetwork:
         skill_ids: np.ndarray,
         skill_vocab: Sequence[str],
     ) -> "CollaborationNetwork":
-        """Build a network directly in compact mode from CSR arrays.
+        """Build a network directly from CSR arrays.
 
         ``adj_indptr``/``adj_indices`` is the symmetric adjacency in CSR
         layout (both directions present, no self loops);
         ``skill_indptr``/``skill_ids`` is the person→skill incidence with
         ids indexing ``skill_vocab``.  Rows are sorted internally, so
         callers may hand over unsorted per-row entries.  This is the
-        streaming-generator entry point: no per-person Python set is ever
+        generators' entry point: no per-person Python container is ever
         materialized.
         """
         n = len(names)
@@ -177,141 +190,62 @@ class CollaborationNetwork:
             raise ValueError("indptr arrays must have length n_people + 1")
         if adj_indptr[-1] != len(adj_indices) or skill_indptr[-1] != len(skill_ids):
             raise ValueError("indptr terminal entry must match indices length")
-        # Sort each row in place: row id ascending, then column ascending.
-        adj_indices = _sort_rows(adj_indptr, adj_indices)
-        skill_ids = _sort_rows(skill_indptr, skill_ids)
-        net = cls()
-        net._names = list(names)
-        net._skills = None
-        net._adj = None
-        net._adj_indptr = adj_indptr
-        net._adj_indices = adj_indices
-        net._skill_indptr = skill_indptr
-        net._skill_ids = skill_ids
-        net._skill_vocab = tuple(skill_vocab)
         if len(adj_indices) % 2:
             raise ValueError("symmetric adjacency must have an even entry count")
-        net._n_edges = len(adj_indices) // 2
+        net = cls()
+        net._names = list(names)
+        net._adj_indptr = adj_indptr
+        net._adj_indices = _sort_rows(adj_indptr, adj_indices)
+        net._skill_indptr = skill_indptr
+        net._skill_ids = _sort_rows(skill_indptr, skill_ids)
+        net._skill_vocab = tuple(skill_vocab)
         return net
 
     @property
     def is_compact(self) -> bool:
-        """True when CSR arrays (not Python sets) are the source of truth."""
-        return self._adj is None
-
-    def compact(self) -> "CollaborationNetwork":
-        """Convert to compact mode in place (no version bump — the content
-        is identical) and return self.  No-op when already compact."""
-        if self.is_compact:
-            return self
-        n = self.n_people
-        vocab = self.skill_vocabulary()
-        vocab_index = self.skill_vocabulary_index()
-        adj_counts = np.fromiter(
-            (len(a) for a in self._adj), dtype=np.int64, count=n
-        )
-        adj_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(adj_counts, out=adj_indptr[1:])
-        adj_indices = np.empty(int(adj_indptr[-1]), dtype=np.int32)
-        for u, nbrs in enumerate(self._adj):
-            adj_indices[adj_indptr[u] : adj_indptr[u + 1]] = sorted(nbrs)
-        skill_counts = np.fromiter(
-            (len(s) for s in self._skills), dtype=np.int64, count=n
-        )
-        skill_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(skill_counts, out=skill_indptr[1:])
-        skill_ids = np.empty(int(skill_indptr[-1]), dtype=np.int32)
-        for p, skills in enumerate(self._skills):
-            # vocab is sorted, so sorted names <=> sorted ids
-            skill_ids[skill_indptr[p] : skill_indptr[p + 1]] = sorted(
-                vocab_index[s] for s in skills
-            )
-        self._adj_indptr = adj_indptr
-        self._adj_indices = adj_indices
-        self._skill_indptr = skill_indptr
-        self._skill_ids = skill_ids
-        self._skill_vocab = vocab
-        self._skills = None
-        self._adj = None
-        return self
-
-    def _thaw(self) -> None:
-        """Materialize per-person sets from the CSR arrays (compact →
-        set mode) so a mutation can proceed.  Content-identical, so the
-        version is NOT bumped; derived caches stay valid until the
-        mutation itself calls :meth:`_touch`."""
-        if not self.is_compact:
-            return
-        vocab = self._skill_vocab
-        skill_indptr, skill_ids = self._skill_indptr, self._skill_ids
-        adj_indptr, adj_indices = self._adj_indptr, self._adj_indices
-        self._skills = [
-            {vocab[i] for i in skill_ids[skill_indptr[p] : skill_indptr[p + 1]].tolist()}
-            for p in range(self.n_people)
-        ]
-        self._adj = [
-            set(adj_indices[adj_indptr[p] : adj_indptr[p + 1]].tolist())
-            for p in range(self.n_people)
-        ]
-        self._adj_indptr = None
-        self._adj_indices = None
-        self._skill_indptr = None
-        self._skill_ids = None
-        self._skill_vocab = None
+        """Always True: CSR arrays are the only storage."""
+        return True
 
     def add_person(self, name: str, skills: Iterable[str] = ()) -> int:
-        """Add an individual and return their integer id."""
-        self._thaw()
-        pid = len(self._names)
+        """Add an individual and return their integer id.
+
+        Growing the node set appends one empty row to each relation; the
+        skills then land through :meth:`apply_delta`."""
+        pid = self.n_people
         self._names.append(name)
-        self._skills.append(set(skills))
-        self._adj.append(set())
-        self._touch()
         self._name_index = None
+        self._adj_indptr = np.append(self._adj_indptr, self._adj_indptr[-1])
+        self._skill_indptr = np.append(self._skill_indptr, self._skill_indptr[-1])
+        self._touch()
+        self.apply_delta([(pid, s, True) for s in set(skills)], ())
         return pid
 
     def add_edge(self, u: int, v: int) -> bool:
         """Add an undirected collaboration edge; returns False if it existed."""
-        self._check_pair(u, v)
-        self._thaw()
-        if v in self._adj[u]:
+        if self.has_edge(u, v):
             return False
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._n_edges += 1
-        self._touch()
+        self.apply_delta((), ((u, v, True),))
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
         """Remove an undirected edge; returns False if it was absent."""
-        self._check_pair(u, v)
-        self._thaw()
-        if v not in self._adj[u]:
+        if not self.has_edge(u, v):
             return False
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._n_edges -= 1
-        self._touch()
+        self.apply_delta((), ((u, v, False),))
         return True
 
     def add_skill(self, person: int, skill: str) -> bool:
         """Attach ``skill`` to ``person``; returns False if already present."""
-        self._check_person(person)
-        self._thaw()
-        if skill in self._skills[person]:
+        if self.has_skill(person, skill):
             return False
-        self._skills[person].add(skill)
-        self._touch()
+        self.apply_delta(((person, skill, True),), ())
         return True
 
     def remove_skill(self, person: int, skill: str) -> bool:
         """Detach ``skill`` from ``person``; returns False if absent."""
-        self._check_person(person)
-        self._thaw()
-        if skill not in self._skills[person]:
+        if not self.has_skill(person, skill):
             return False
-        self._skills[person].discard(skill)
-        self._touch()
+        self.apply_delta(((person, skill, False),), ())
         return True
 
     # ------------------------------------------------------------------
@@ -325,7 +259,7 @@ class CollaborationNetwork:
     @property
     def n_edges(self) -> int:
         """Number of undirected edges |E|."""
-        return self._n_edges
+        return len(self._adj_indices) // 2
 
     @property
     def version(self) -> int:
@@ -354,109 +288,69 @@ class CollaborationNetwork:
 
     def skills(self, person: int) -> FrozenSet[str]:
         """The skill set S_i of ``person`` (immutable view)."""
-        self._check_person(person)
-        if self.is_compact:
-            s, e = self._skill_indptr[person], self._skill_indptr[person + 1]
+        rows = self._skill_rows
+        row = rows.get(person)
+        if row is None:
+            self._check_person(person)
             vocab = self._skill_vocab
-            return frozenset(vocab[i] for i in self._skill_ids[s:e].tolist())
-        return frozenset(self._skills[person])
+            s, e = self._skill_indptr[person], self._skill_indptr[person + 1]
+            row = rows[person] = frozenset([vocab[i] for i in self._skill_ids[s:e].tolist()])
+        return row
 
     def has_skill(self, person: int, skill: str) -> bool:
-        self._check_person(person)
-        if self.is_compact:
-            sid = self._vocab_lookup().get(skill)
-            if sid is None:
-                return False
-            s, e = self._skill_indptr[person], self._skill_indptr[person + 1]
-            row = self._skill_ids[s:e]
-            j = np.searchsorted(row, sid)
-            return bool(j < len(row) and row[j] == sid)
-        return skill in self._skills[person]
+        return skill in self.skills(person)
 
     def neighbors(self, person: int) -> FrozenSet[int]:
         """Direct collaborators of ``person``."""
-        self._check_person(person)
-        if self.is_compact:
+        rows = self._adj_rows
+        row = rows.get(person)
+        if row is None:
+            self._check_person(person)
             s, e = self._adj_indptr[person], self._adj_indptr[person + 1]
-            return frozenset(self._adj_indices[s:e].tolist())
-        return frozenset(self._adj[person])
+            row = rows[person] = frozenset(self._adj_indices[s:e].tolist())
+        return row
 
     def degree(self, person: int) -> int:
-        self._check_person(person)
-        if self.is_compact:
-            return int(self._adj_indptr[person + 1] - self._adj_indptr[person])
-        return len(self._adj[person])
+        return len(self.neighbors(person))
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_pair(u, v)
-        if self.is_compact:
-            s, e = self._adj_indptr[u], self._adj_indptr[u + 1]
-            row = self._adj_indices[s:e]
-            j = np.searchsorted(row, v)
-            return bool(j < len(row) and row[j] == v)
-        return v in self._adj[u]
+        return v in self.neighbors(u)
 
     def edges(self) -> Iterator[Tuple[int, int]]:
-        """Iterate undirected edges once each, as (u, v) with u < v."""
-        if self.is_compact:
-            indptr, indices = self._adj_indptr, self._adj_indices
-            for u in range(self.n_people):
-                for v in indices[indptr[u] : indptr[u + 1]].tolist():
-                    if u < v:
-                        yield (u, v)
-            return
-        for u, nbrs in enumerate(self._adj):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        """Iterate undirected edges once each, as (u, v) with u < v, in
+        row order."""
+        src = np.repeat(
+            np.arange(self.n_people, dtype=np.int64), np.diff(self._adj_indptr)
+        )
+        upper = src < self._adj_indices
+        return zip(src[upper].tolist(), self._adj_indices[upper].tolist())
 
     def skill_universe(self) -> FrozenSet[str]:
         """The universe of skills S actually attached to some node."""
         cached = self._cache_get("skill_universe")
         if cached is not None:
             return cached  # type: ignore[return-value]
-        if self.is_compact:
-            vocab = self._skill_vocab
-            universe = frozenset(vocab[i] for i in np.unique(self._skill_ids).tolist())
-        else:
-            universe = frozenset(s for skills in self._skills for s in skills)
+        vocab = self._skill_vocab
+        universe = frozenset(vocab[i] for i in np.unique(self._skill_ids).tolist())
         self._cache_put("skill_universe", universe)
         return universe
 
     def total_skill_assignments(self) -> int:
         """Sum of |S_i| over all individuals (size of the skill relation)."""
-        if self.is_compact:
-            return len(self._skill_ids)
-        return sum(len(s) for s in self._skills)
+        return len(self._skill_ids)
 
     def people_with_skill(self, skill: str) -> FrozenSet[int]:
         """All individuals holding ``skill``."""
-        if self.is_compact:
-            sid = self._vocab_lookup().get(skill)
-            if sid is None:
-                return frozenset()
-            uniq, indptr, people = self._skill_csc_compact()
-            j = np.searchsorted(uniq, sid)
-            if j >= len(uniq) or uniq[j] != sid:
-                return frozenset()
-            return frozenset(people[indptr[j] : indptr[j + 1]].tolist())
-        index = self._cache_get("skill_index")
-        if index is None:
-            built: Dict[str, Set[int]] = {}
-            for pid, skills in enumerate(self._skills):
-                for s in skills:
-                    built.setdefault(s, set()).add(pid)
-            index = {s: frozenset(ids) for s, ids in built.items()}
-            self._cache_put("skill_index", index)
-        return index.get(skill, frozenset())  # type: ignore[union-attr]
+        return frozenset(self._skill_holders(skill).tolist())
 
     def match_counts(self, query: Iterable[str]) -> np.ndarray:
         """Per-person count of query terms held, as float64.
 
         The O(nnz) building block behind restart vectors and lexical match
-        bonuses: one incidence-column slice per term instead of a Python
-        scan over holder sets.  Counts are exact small integers, so the
-        result is bit-identical to the per-person loop it replaces.
+        bonuses: one holder-group slice per term instead of a Python scan
+        over holder sets.  Counts are exact small integers, so the result
+        is bit-identical to the per-person loop it replaces.
         """
         out = np.zeros(self.n_people)
         for term in query:
@@ -465,7 +359,7 @@ class CollaborationNetwork:
 
     def term_incidence(self, terms: Sequence[str]) -> np.ndarray:
         """``(n_people, len(terms))`` bool: does person ``p`` hold
-        ``terms[j]``?  Built from the same cached incidence columns as
+        ``terms[j]``?  Built from the same cached holder groups as
         :meth:`match_counts` — the greedy team former's per-formation
         cover table."""
         out = np.zeros((self.n_people, len(terms)), dtype=bool)
@@ -474,74 +368,36 @@ class CollaborationNetwork:
         return out
 
     def _skill_holders(self, skill: str) -> np.ndarray:
-        """The ids of everyone holding ``skill``: one column of the
-        version-cached skill incidence (compact or set mode), empty when
-        nobody holds it."""
-        if self.is_compact:
-            sid = self._vocab_lookup().get(skill)
-            if sid is None:
-                return _NO_PEOPLE
-            uniq, indptr, people = self._skill_csc_compact()
-            j = np.searchsorted(uniq, sid)
-            if j < len(uniq) and uniq[j] == sid:
-                return people[indptr[j] : indptr[j + 1]]
+        """The ids of everyone holding ``skill``, ascending: one group of
+        the version-cached holder grouping, empty when nobody holds it."""
+        sid = self._vocab_lookup().get(skill)
+        if sid is None:
             return _NO_PEOPLE
-        csc = self._cache_get("skill_csc")
-        if csc is None:
-            csc = self.skill_matrix().tocsc()
-            self._cache_put("skill_csc", csc)
-        col = self.skill_vocabulary_index().get(skill)
-        if col is None:
-            return _NO_PEOPLE
-        return csc.indices[csc.indptr[col] : csc.indptr[col + 1]]
+        cached = self._cache_get("skill_holders")
+        if cached is None:
+            counts = np.bincount(self._skill_ids, minlength=len(self._skill_vocab))
+            indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            rows = np.repeat(
+                np.arange(self.n_people, dtype=np.int64), np.diff(self._skill_indptr)
+            )
+            people = rows[np.argsort(self._skill_ids, kind="stable")]
+            cached = (indptr.tolist(), people)
+            self._cache_put("skill_holders", cached)
+        indptr, people = cached  # type: ignore[misc]
+        return people[indptr[sid] : indptr[sid + 1]]
 
     def _vocab_lookup(self) -> Dict[str, int]:
-        """Compact mode: skill name -> id into ``_skill_vocab``."""
-        cached = self._cache_get("compact_vocab_lookup")
+        """Skill name -> id into ``_skill_vocab``."""
+        cached = self._cache_get("vocab_lookup")
         if cached is None:
             cached = {s: i for i, s in enumerate(self._skill_vocab)}
-            self._cache_put("compact_vocab_lookup", cached)
-        return cached  # type: ignore[return-value]
-
-    def _skill_csc_compact(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compact mode: the skill relation grouped by skill id —
-        ``(unique_ids, group_indptr, people)`` so the holders of skill
-        ``unique_ids[j]`` are ``people[group_indptr[j]:group_indptr[j+1]]``."""
-        cached = self._cache_get("skill_csc_compact")
-        if cached is None:
-            counts = np.diff(self._skill_indptr)
-            rows = np.repeat(np.arange(self.n_people, dtype=np.int64), counts)
-            order = np.argsort(self._skill_ids, kind="stable")
-            sids = self._skill_ids[order]
-            people = rows[order]
-            uniq, starts = np.unique(sids, return_index=True)
-            indptr = np.append(starts, len(sids)).astype(np.int64)
-            cached = (uniq, indptr, people)
-            self._cache_put("skill_csc_compact", cached)
+            self._cache_put("vocab_lookup", cached)
         return cached  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # neighborhoods (Pruning Strategy 1: network locality)
     # ------------------------------------------------------------------
-    def _adjacency_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the symmetric adjacency, rows sorted —
-        the compact arrays themselves, or a version-cached build from the
-        set representation."""
-        if self.is_compact:
-            return self._adj_indptr, self._adj_indices
-        cached = self._cache_get("adj_arrays")
-        if cached is None:
-            n = self.n_people
-            counts = np.fromiter((len(a) for a in self._adj), dtype=np.int64, count=n)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            indices = np.empty(int(indptr[-1]), dtype=np.int32)
-            for u, nbrs in enumerate(self._adj):
-                indices[indptr[u] : indptr[u + 1]] = sorted(nbrs)
-            cached = (indptr, indices)
-            self._cache_put("adj_arrays", cached)
-        return cached  # type: ignore[return-value]
-
     def neighborhood_array(self, person: int, radius: int) -> np.ndarray:
         """N(p_i) as a sorted int64 id array — the O(cone) CSR frontier
         walk behind :meth:`neighborhood`.
@@ -554,7 +410,7 @@ class CollaborationNetwork:
         self._check_person(person)
         if radius < 0:
             raise ValueError(f"radius must be non-negative, got {radius}")
-        indptr, indices = self._adjacency_arrays()
+        indptr, indices = self._adj_indptr, self._adj_indices
         scratch = self._cache_get("nbh_scratch")
         if scratch is None:
             scratch = (
@@ -601,17 +457,9 @@ class CollaborationNetwork:
     def neighborhood_skills(self, person: int, radius: int) -> FrozenSet[str]:
         """S_N(p_i): the union of skills held inside the ``radius``-neighborhood."""
         nodes = self.neighborhood_array(person, radius)
-        if self.is_compact:
-            indptr, ids, vocab = self._skill_indptr, self._skill_ids, self._skill_vocab
-            chunks = [ids[indptr[p] : indptr[p + 1]] for p in nodes.tolist()]
-            if not chunks:
-                return frozenset()
-            used = np.unique(np.concatenate(chunks)) if chunks else np.empty(0)
-            return frozenset(vocab[i] for i in used.tolist())
-        out: Set[str] = set()
-        for p in nodes.tolist():
-            out.update(self._skills[p])
-        return frozenset(out)
+        indptr, ids, vocab = self._skill_indptr, self._skill_ids, self._skill_vocab
+        used = np.unique(np.concatenate([ids[indptr[p] : indptr[p + 1]] for p in nodes.tolist()]))
+        return frozenset(vocab[i] for i in used.tolist())
 
     def edges_within(self, nodes: Iterable[int]) -> List[Tuple[int, int]]:
         """Edges of the subgraph induced by ``nodes``, as (u, v) with u < v."""
@@ -631,10 +479,8 @@ class CollaborationNetwork:
         ]
 
     def _sorted_neighbors(self, person: int) -> List[int]:
-        if self.is_compact:
-            s, e = self._adj_indptr[person], self._adj_indptr[person + 1]
-            return self._adj_indices[s:e].tolist()
-        return sorted(self._adj[person])
+        s, e = self._adj_indptr[person], self._adj_indptr[person + 1]
+        return self._adj_indices[s:e].tolist()
 
     # ------------------------------------------------------------------
     # derived numpy / scipy artifacts (cached by version)
@@ -664,15 +510,8 @@ class CollaborationNetwork:
         if cached is not None:
             return cached  # type: ignore[return-value]
         n = self.n_people
-        if self.is_compact:
-            data = np.ones(len(self._adj_indices), dtype=np.float64)
-            mat = sp.csr_matrix(
-                (data, self._adj_indices, self._adj_indptr), shape=(n, n)
-            )
-        else:
-            indptr, indices = self._adjacency_arrays()
-            data = np.ones(len(indices), dtype=np.float64)
-            mat = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+        data = np.ones(len(self._adj_indices), dtype=np.float64)
+        mat = sp.csr_matrix((data, self._adj_indices, self._adj_indptr), shape=(n, n))
         self._cache_put("adj_csr", mat)
         return mat
 
@@ -710,91 +549,119 @@ class CollaborationNetwork:
         return self._build_skill_matrix(vocab_index)
 
     def _build_skill_matrix(self, vocab_index: Dict[str, int]) -> sp.csr_matrix:
-        if self.is_compact:
-            lookup = self._vocab_lookup()
-            col_map = np.full(len(self._skill_vocab), -1, dtype=np.int64)
-            for s, col in vocab_index.items():
-                sid = lookup.get(s)
-                if sid is not None:
-                    col_map[sid] = col
-            cols = col_map[self._skill_ids]
-            keep = cols >= 0
-            counts = np.diff(self._skill_indptr)
-            rows = np.repeat(np.arange(self.n_people, dtype=np.int64), counts)[keep]
-            data = np.ones(int(keep.sum()), dtype=np.float64)
-            return sp.csr_matrix(
-                (data, (rows, cols[keep])),
-                shape=(self.n_people, len(vocab_index)),
-            )
-        rows_l: List[int] = []
-        cols_l: List[int] = []
-        for pid, skills in enumerate(self._skills):
-            for s in skills:
-                col = vocab_index.get(s)
-                if col is not None:
-                    rows_l.append(pid)
-                    cols_l.append(col)
-        data = np.ones(len(rows_l), dtype=np.float64)
+        lookup = self._vocab_lookup()
+        col_map = np.full(len(self._skill_vocab), -1, dtype=np.int64)
+        for s, col in vocab_index.items():
+            sid = lookup.get(s)
+            if sid is not None:
+                col_map[sid] = col
+        cols = col_map[self._skill_ids]
+        keep = cols >= 0
+        counts = np.diff(self._skill_indptr)
+        rows = np.repeat(np.arange(self.n_people, dtype=np.int64), counts)[keep]
+        data = np.ones(int(keep.sum()), dtype=np.float64)
         return sp.csr_matrix(
-            (data, (rows_l, cols_l)), shape=(self.n_people, len(vocab_index))
+            (data, (rows, cols[keep])),
+            shape=(self.n_people, len(vocab_index)),
         )
 
     # ------------------------------------------------------------------
-    # base-delta commits (dynamic networks)
+    # the one mutation path
     # ------------------------------------------------------------------
     def apply_delta(
         self,
         skill_flips: Iterable[Tuple[int, str, bool]],
         edge_flips: Iterable[Tuple[int, int, bool]],
     ) -> "BaseDelta":
-        """Apply a batch of canonical flips in place as ONE version bump.
+        """Apply a batch of flips in place as ONE version bump.
 
         This is the commit primitive behind
-        :meth:`~repro.graph.overlay.NetworkOverlay.commit`: each flip must
-        be applicable against the current state (add only what is absent,
-        remove only what is present — an overlay's recorded flips satisfy
-        this by construction), all flips land atomically, and ``_version``
-        advances exactly once so consumers see a single old→new delta
-        rather than one bump per flip.  An empty batch is a no-op that
-        does not bump the version.  Returns the :class:`BaseDelta`.
+        :meth:`~repro.graph.overlay.NetworkOverlay.commit` and the one
+        mutation path of the network.  Each flip must be applicable
+        against the current state (add only what is absent, remove only
+        what is present — an overlay's recorded flips satisfy this by
+        construction) and name its ``(person, skill)`` or undirected edge
+        once; an edge flip may name its endpoints in either order.  Every
+        flip is checked before any lands, so a rejected batch leaves the
+        network as it was.  ``_version`` advances exactly once so
+        consumers see a single old→new delta rather than one bump per
+        flip; an empty batch is a no-op that does not bump the version.
+
+        Each relation changes by one merge of sorted packed keys
+        (``u·n+v`` in both directions for edges, ``p·V+id`` for skills,
+        with new skill names appended to the vocabulary) into fresh
+        arrays.  Returns the :class:`BaseDelta`, edge flips canonical
+        (``u < v``).
         """
         skill_flips = tuple(sorted(skill_flips))
-        edge_flips = tuple(sorted(edge_flips))
+        edge_flips = tuple(
+            sorted((u, v, added) if u < v else (v, u, added) for u, v, added in edge_flips)
+        )
         old_version = self._version
         if not skill_flips and not edge_flips:
             return BaseDelta(old_version, old_version, (), ())
-        self._thaw()
-        for person, skill, added in skill_flips:
+        for person, _, _ in skill_flips:
             self._check_person(person)
-            if (skill in self._skills[person]) == added:
-                verb = "add" if added else "remove"
-                raise ValueError(
-                    f"inapplicable skill flip: cannot {verb} {skill!r} "
-                    f"{'to' if added else 'from'} person {person}"
-                )
-        for u, v, added in edge_flips:
+        for u, v, _ in edge_flips:
             self._check_pair(u, v)
-            if (v in self._adj[u]) == added:
-                verb = "add" if added else "remove"
-                raise ValueError(
-                    f"inapplicable edge flip: cannot {verb} edge ({u}, {v})"
-                )
-        for person, skill, added in skill_flips:
-            if added:
-                self._skills[person].add(skill)
-            else:
-                self._skills[person].discard(skill)
-        for u, v, added in edge_flips:
-            if added:
-                self._adj[u].add(v)
-                self._adj[v].add(u)
-                self._n_edges += 1
-            else:
-                self._adj[u].discard(v)
-                self._adj[v].discard(u)
-                self._n_edges -= 1
+        for kind, flips in (("skill", skill_flips), ("edge", edge_flips)):
+            for a, b in zip(flips, flips[1:]):
+                if a[:2] == b[:2]:
+                    raise ValueError(f"repeated {kind} flip for {a[:2]!r}")
+        skills = self._merge_skill_flips(skill_flips) if skill_flips else None
+        adjacency = self._merge_edge_flips(edge_flips) if edge_flips else None
+        if skills is not None:
+            self._skill_indptr, self._skill_ids, self._skill_vocab = skills
+        if adjacency is not None:
+            self._adj_indptr, self._adj_indices = adjacency
         self._touch()
         return BaseDelta(old_version, self._version, skill_flips, edge_flips)
+
+    def _merge_skill_flips(
+        self, flips: Tuple[Tuple[int, str, bool], ...]
+    ) -> Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]:
+        """``(indptr, ids, vocab)`` with ``flips`` applied; raises on an
+        inapplicable flip."""
+        lookup = self._vocab_lookup()
+        fresh: Dict[str, int] = {}
+        base = len(self._skill_vocab)
+        ids = [
+            lookup[s] if s in lookup else fresh.setdefault(s, base + len(fresh))
+            for _, s, _ in flips
+        ]
+        vocab = self._skill_vocab + tuple(fresh)
+        stride = len(vocab)
+        added = np.array([a for _, _, a in flips], dtype=bool)
+        keys = np.array([p for p, _, _ in flips], dtype=np.int64) * stride + ids
+        old = _row_keys(self._skill_indptr, self._skill_ids, stride)
+        bad = np.flatnonzero(_contains(old, keys) == added)
+        if bad.size:
+            person, skill, add = flips[bad[0]]
+            raise ValueError(
+                f"inapplicable skill flip: cannot {'add' if add else 'remove'} "
+                f"{skill!r} {'to' if add else 'from'} person {person}"
+            )
+        indptr, ids_out = _rows_from_keys(_flip_keys(old, keys, added), self.n_people, stride)
+        return indptr, ids_out, vocab
+
+    def _merge_edge_flips(
+        self, flips: Tuple[Tuple[int, int, bool], ...]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(indptr, indices)`` with ``flips`` (canonical) applied; raises
+        on an inapplicable flip."""
+        n = self.n_people
+        us = np.array([u for u, _, _ in flips], dtype=np.int64)
+        vs = np.array([v for _, v, _ in flips], dtype=np.int64)
+        added = np.array([a for _, _, a in flips], dtype=bool)
+        old = _row_keys(self._adj_indptr, self._adj_indices, n)
+        bad = np.flatnonzero(_contains(old, us * n + vs) == added)
+        if bad.size:
+            u, v, add = flips[bad[0]]
+            raise ValueError(
+                f"inapplicable edge flip: cannot {'add' if add else 'remove'} edge ({u}, {v})"
+            )
+        keys = np.concatenate((us * n + vs, vs * n + us))
+        return _rows_from_keys(_flip_keys(old, keys, np.tile(added, 2)), n, n)
 
     def state_digest(self) -> str:
         """Content hash of names, skills, and edges (version-independent).
@@ -802,52 +669,34 @@ class CollaborationNetwork:
         Two networks with identical structure digest identically even if
         their mutation histories (and so ``version`` counters) differ —
         the binding key the registry spill/restore path uses to decide a
-        serialized warm state still matches the live network.  Compact and
-        set representations of the same content digest identically.
+        serialized warm state still matches the live network.  Skills are
+        hashed by name, so the vocabulary's id order does not matter.
         """
         h = hashlib.blake2b(digest_size=16)
+        vocab = self._skill_vocab
+        indptr, ids = self._skill_indptr.tolist(), self._skill_ids.tolist()
         for pid, name in enumerate(self._names):
             h.update(name.encode("utf-8"))
             h.update(b"\x00")
-            for s in self._sorted_skills(pid):
+            for s in sorted(vocab[i] for i in ids[indptr[pid] : indptr[pid + 1]]):
                 h.update(s.encode("utf-8"))
                 h.update(b"\x01")
             h.update(b"\x02")
-        for u in range(self.n_people):
-            for v in self._sorted_neighbors(u):
-                if u < v:
-                    h.update(f"{u},{v};".encode("ascii"))
+        h.update("".join(f"{u},{v};" for u, v in self.edges()).encode("ascii"))
         return h.hexdigest()
-
-    def _sorted_skills(self, person: int) -> List[str]:
-        if self.is_compact:
-            s, e = self._skill_indptr[person], self._skill_indptr[person + 1]
-            vocab = self._skill_vocab
-            return sorted(vocab[i] for i in self._skill_ids[s:e].tolist())
-        return sorted(self._skills[person])
 
     # ------------------------------------------------------------------
     # copies & export
     # ------------------------------------------------------------------
     def copy(self) -> "CollaborationNetwork":
-        """Deep copy of names, skills and adjacency (caches are not copied).
-
-        A compact network copies compact — the arrays are duplicated but no
-        Python sets are materialized."""
+        """Deep copy of names, skills and adjacency (caches are not copied)."""
         out = CollaborationNetwork()
         out._names = list(self._names)
-        if self.is_compact:
-            out._skills = None
-            out._adj = None
-            out._adj_indptr = self._adj_indptr.copy()
-            out._adj_indices = self._adj_indices.copy()
-            out._skill_indptr = self._skill_indptr.copy()
-            out._skill_ids = self._skill_ids.copy()
-            out._skill_vocab = self._skill_vocab
-        else:
-            out._skills = [set(s) for s in self._skills]
-            out._adj = [set(a) for a in self._adj]
-        out._n_edges = self._n_edges
+        out._adj_indptr = self._adj_indptr.copy()
+        out._adj_indices = self._adj_indices.copy()
+        out._skill_indptr = self._skill_indptr.copy()
+        out._skill_ids = self._skill_ids.copy()
+        out._skill_vocab = self._skill_vocab
         return out
 
     def to_networkx(self):
@@ -863,62 +712,38 @@ class CollaborationNetwork:
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on corruption."""
         n = self.n_people
-        if self.is_compact:
-            self._validate_compact()
-            return
-        if not (len(self._skills) == len(self._adj) == n):
-            raise ValueError("parallel arrays out of sync")
-        count = 0
-        for u, nbrs in enumerate(self._adj):
-            if u in nbrs:
-                raise ValueError(f"self loop at node {u}")
-            for v in nbrs:
-                if not (0 <= v < n):
-                    raise ValueError(f"edge endpoint {v} out of range")
-                if u not in self._adj[v]:
-                    raise ValueError(f"asymmetric edge ({u}, {v})")
-                count += 1
-        if count != 2 * self._n_edges:
-            raise ValueError(
-                f"edge count mismatch: counted {count // 2}, recorded {self._n_edges}"
-            )
-
-    def _validate_compact(self) -> None:
-        n = self.n_people
         indptr, indices = self._adj_indptr, self._adj_indices
         if indptr.shape != (n + 1,) or self._skill_indptr.shape != (n + 1,):
             raise ValueError("parallel arrays out of sync")
-        if len(indices):
-            if indices.min() < 0 or indices.max() >= n:
-                raise ValueError("edge endpoint out of range")
-        counts = np.diff(indptr)
-        if counts.min(initial=0) < 0:
-            raise ValueError("adjacency indptr not monotone")
-        src = np.repeat(np.arange(n, dtype=np.int64), counts)
+        if indptr[-1] != len(indices) or self._skill_indptr[-1] != len(self._skill_ids):
+            raise ValueError("indptr terminal entry does not match indices length")
+        if np.diff(indptr).min(initial=0) < 0 or np.diff(self._skill_indptr).min(initial=0) < 0:
+            raise ValueError("indptr not monotone")
+        if len(indices) and (indices.min() < 0 or indices.max() >= n):
+            raise ValueError("edge endpoint out of range")
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         if np.any(src == indices):
-            bad = int(src[src == indices][0])
-            raise ValueError(f"self loop at node {bad}")
-        # Symmetry: the multiset of directed edges equals its reverse.
-        fwd = np.sort(src * n + indices)
-        rev = np.sort(indices.astype(np.int64) * n + src)
-        if not np.array_equal(fwd, rev):
-            raise ValueError("asymmetric edge in compact adjacency")
-        if len(indices) != 2 * self._n_edges:
-            raise ValueError(
-                f"edge count mismatch: counted {len(indices) // 2}, "
-                f"recorded {self._n_edges}"
-            )
+            raise ValueError(f"self loop at node {int(src[src == indices][0])}")
+        keys = src * n + indices
+        if np.any(np.diff(keys) <= 0):
+            raise ValueError("adjacency rows not sorted or hold a repeated edge")
+        # Symmetry: the set of directed edges equals its reverse.
+        if not np.array_equal(keys, np.sort(indices.astype(np.int64) * n + src)):
+            raise ValueError("asymmetric edge in adjacency")
         if len(self._skill_ids):
-            if self._skill_ids.min() < 0 or self._skill_ids.max() >= len(
-                self._skill_vocab
-            ):
+            if self._skill_ids.min() < 0 or self._skill_ids.max() >= len(self._skill_vocab):
                 raise ValueError("skill id out of vocabulary range")
+            skill_keys = _row_keys(self._skill_indptr, self._skill_ids, len(self._skill_vocab))
+            if np.any(np.diff(skill_keys) <= 0):
+                raise ValueError("skill rows not sorted or hold a repeated skill")
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _touch(self) -> None:
         self._version += 1
+        self._skill_rows = {}
+        self._adj_rows = {}
         if self._cache:
             self._cache.clear()
 
@@ -956,3 +781,34 @@ def _sort_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
     rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     order = np.lexsort((values, rows))
     return np.ascontiguousarray(values[order])
+
+
+def _row_keys(indptr: np.ndarray, cols: np.ndarray, stride: int) -> np.ndarray:
+    """The packed ``row * stride + col`` keys of a CSR relation, ascending
+    when its rows are sorted."""
+    rows = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64), np.diff(indptr))
+    return rows * stride + cols
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership of each of ``keys`` in ``sorted_keys``."""
+    pos = np.searchsorted(sorted_keys, keys)
+    hit = pos < len(sorted_keys)
+    hit[hit] = sorted_keys[pos[hit]] == keys[hit]
+    return hit
+
+
+def _flip_keys(sorted_keys: np.ndarray, keys: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """``sorted_keys`` with ``keys[~added]`` (all present) deleted and
+    ``keys[added]`` (all absent) inserted, still ascending."""
+    kept = np.delete(sorted_keys, np.searchsorted(sorted_keys, keys[~added]))
+    new = np.sort(keys[added])
+    return np.insert(kept, np.searchsorted(kept, new), new)
+
+
+def _rows_from_keys(keys: np.ndarray, n_rows: int, stride: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(indptr, cols)`` of the CSR relation whose sorted packed keys are
+    ``keys``."""
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // stride, minlength=n_rows), out=indptr[1:])
+    return indptr, (keys % stride).astype(np.int32)

@@ -126,13 +126,8 @@ class NetworkOverlay:
         """
         self._check_base()
         if self._mat is None:
-            from repro.graph.network import CollaborationNetwork
-
-            net = CollaborationNetwork.from_parts(
-                [self._base.name(p) for p in range(self.n_people)],
-                [self.skills(p) for p in range(self.n_people)],
-                self.edges(),
-            )
+            net = self._base.copy()
+            net.apply_delta(*self._delta())
             self._mat = net
         return self._mat
 
@@ -157,9 +152,14 @@ class NetworkOverlay:
         commit is a deliberate epoch boundary, not a concurrent edit.
         """
         self._check_base()
-        return self._base.apply_delta(
-            ((p, s, added) for (p, s), added in self._skill_flips.items()),
-            ((u, v, added) for (u, v), added in self._edge_flips.items()),
+        return self._base.apply_delta(*self._delta())
+
+    def _delta(self):
+        """The recorded flips as :meth:`CollaborationNetwork.apply_delta`
+        arguments."""
+        return (
+            [(p, s, added) for (p, s), added in self._skill_flips.items()],
+            [(u, v, added) for (u, v), added in self._edge_flips.items()],
         )
 
     def _check_base(self) -> None:

@@ -40,12 +40,9 @@ def split_edges(
     order = rng.permutation(len(edges))
     test_idx = set(order[:n_test].tolist())
 
+    test_positives = [edges[i] for i in sorted(test_idx)]
     train = network.copy()
-    test_positives = []
-    for i in sorted(test_idx):
-        u, v = edges[i]
-        train.remove_edge(u, v)
-        test_positives.append((u, v))
+    train.apply_delta((), [(u, v, False) for u, v in test_positives])
 
     negatives: List[Tuple[int, int]] = []
     n = network.n_people

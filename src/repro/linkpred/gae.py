@@ -145,25 +145,32 @@ class GraphAutoencoder(Module):
 def _sample_non_edges(
     network: CollaborationNetwork, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniformly sample ``count`` node pairs that are not edges."""
+    """Uniformly sample ``count`` ordered node pairs that are not edges.
+
+    Draws batches of candidate pairs and keeps the valid ones (no self
+    pair, no edge) in draw order, up to ``count``; each batch is tested
+    with one membership check of its packed ``u * n + v`` keys against
+    the adjacency's."""
     n = network.n_people
-    out: List[Tuple[int, int]] = []
+    adj = network.adjacency_csr()
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adj.indptr))
+    edge_keys = rows * n + adj.indices
+    out: List[np.ndarray] = []
+    found = 0
     attempts = 0
     max_attempts = 50 * count + 100
-    while len(out) < count and attempts < max_attempts:
-        batch = max(count - len(out), 32)
+    while found < count and attempts < max_attempts:
+        batch = max(count - found, 32)
         us = rng.integers(0, n, size=batch)
         vs = rng.integers(0, n, size=batch)
-        for u, v in zip(us, vs):
-            if len(out) >= count:
-                break
-            if u == v or network.has_edge(int(u), int(v)):
-                continue
-            out.append((int(u), int(v)))
+        valid = (us != vs) & ~np.isin(us * n + vs, edge_keys)
+        keep = np.flatnonzero(valid)[: count - found]
+        out.append(np.stack((us[keep], vs[keep]), axis=1))
+        found += len(keep)
         attempts += batch
-    if not out:  # complete graph corner case
+    if not found:  # complete graph corner case
         return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(out, dtype=np.int64)
+    return np.concatenate(out).astype(np.int64)
 
 
 def train_gae(

@@ -38,6 +38,23 @@ class TestConstruction:
         with pytest.raises(ValueError, match="align"):
             CollaborationNetwork.from_parts(["a"], [{"x"}, {"y"}], [])
 
+    def test_from_parts_self_loop_raises(self):
+        with pytest.raises(ValueError, match="self loop"):
+            CollaborationNetwork.from_parts(["a", "b"], [(), ()], [(0, 1), (1, 1)])
+
+    def test_from_parts_out_of_range_raises(self):
+        with pytest.raises(IndexError):
+            CollaborationNetwork.from_parts(["a", "b"], [(), ()], [(0, 2)])
+
+    def test_from_parts_stores_repeated_edges_once(self):
+        net = CollaborationNetwork.from_parts(
+            ["a", "b", "c"], [["x", "x"], (), ()], [(0, 1), (1, 0), (0, 1), (2, 1)]
+        )
+        assert net.n_edges == 2
+        assert list(net.edges()) == [(0, 1), (1, 2)]
+        assert net.total_skill_assignments() == 1
+        net.validate()
+
     def test_skills_are_copied_on_add(self):
         source = {"x"}
         net = CollaborationNetwork()
@@ -191,7 +208,9 @@ class TestCopyAndValidate:
         simple.validate()
 
     def test_validate_detects_asymmetry(self, simple):
-        simple._adj[0].add(2)  # corrupt deliberately
+        # corrupt deliberately: 2 joins row 0 but 0 not row 2
+        simple._adj_indptr = np.array([0, 2, 4, 5, 5])
+        simple._adj_indices = np.array([1, 2, 0, 2, 1], dtype=np.int32)
         with pytest.raises(ValueError, match="asymmetric"):
             simple.validate()
 
@@ -210,55 +229,57 @@ class TestCopyAndValidate:
 
 
 class TestCompactMode:
-    """CSR-compact networks answer every read identically to set mode."""
+    """CSR arrays, the only storage, answer every read like a plain
+    Python-set model of the same content."""
 
     def test_compact_preserves_reads(self, simple):
-        reference = simple.copy()
-        compact = simple.compact()
-        assert compact is simple and compact.is_compact
-        assert compact.state_digest() == reference.state_digest()
-        assert compact.n_people == reference.n_people
-        assert compact.n_edges == reference.n_edges
-        for p in reference.people():
-            assert compact.skills(p) == reference.skills(p)
-            assert compact.neighbors(p) == reference.neighbors(p)
-            assert compact.degree(p) == reference.degree(p)
-            assert compact.neighborhood(p, 2) == reference.neighborhood(p, 2)
-            assert compact.neighborhood_skills(
-                p, 1
-            ) == reference.neighborhood_skills(p, 1)
-        assert sorted(compact.edges()) == sorted(reference.edges())
-        assert compact.skill_universe() == reference.skill_universe()
-        assert compact.has_edge(0, 1) and not compact.has_edge(0, 2)
-        assert compact.has_skill(0, "x") and not compact.has_skill(1, "x")
-        assert compact.people_with_skill("y") == {0, 1}
-        np.testing.assert_array_equal(
-            compact.match_counts(["x", "y"]),
-            reference.match_counts(["x", "y"]),
+        names = ["a", "b", "c", "d"]
+        skills = [{"x", "y"}, {"y"}, {"z"}, set()]
+        adj = [{1}, {0, 2}, {1}, set()]
+        assert simple.is_compact
+        assert simple.n_people == len(names)
+        assert simple.n_edges == sum(map(len, adj)) // 2
+        for p in simple.people():
+            assert simple.name(p) == names[p]
+            assert simple.skills(p) == skills[p]
+            assert simple.neighbors(p) == adj[p]
+            assert simple.degree(p) == len(adj[p])
+            assert simple.incident_edges(p) == sorted(
+                (min(p, q), max(p, q)) for q in adj[p]
+            )
+            for q in simple.people():
+                if q != p:
+                    assert simple.has_edge(p, q) == (q in adj[p])
+            for s in ("x", "y", "z", "w"):
+                assert simple.has_skill(p, s) == (s in skills[p])
+        assert list(simple.edges()) == sorted(
+            (u, v) for u in range(4) for v in adj[u] if u < v
         )
-
-    def test_compact_thaws_on_mutation(self, simple):
-        simple.compact()
-        version = simple.version
-        assert simple.add_edge(0, 3)
-        assert not simple.is_compact
-        assert simple.version > version
-        assert simple.has_edge(0, 3)
-        assert simple.n_edges == 3
+        assert simple.skill_universe() == set().union(*skills)
+        for s in ("x", "y", "z", "w"):
+            holders = {p for p in range(4) if s in skills[p]}
+            assert simple.people_with_skill(s) == holders
+        assert simple.total_skill_assignments() == sum(map(len, skills))
+        np.testing.assert_array_equal(
+            simple.match_counts(["x", "y", "w"]),
+            [sum(s in held for s in ("x", "y", "w")) for held in skills],
+        )
+        np.testing.assert_array_equal(
+            simple.term_incidence(["y", "w"]),
+            [[s in held for s in ("y", "w")] for held in skills],
+        )
 
     def test_from_csr_round_trip(self, simple):
-        reference = simple.copy()
-        compact = simple.compact()
         rebuilt = CollaborationNetwork.from_csr(
-            [compact.name(p) for p in compact.people()],
-            compact._adj_indptr,
-            compact._adj_indices,
-            compact._skill_indptr,
-            compact._skill_ids,
-            compact._skill_vocab,
+            [simple.name(p) for p in simple.people()],
+            simple._adj_indptr,
+            simple._adj_indices,
+            simple._skill_indptr,
+            simple._skill_ids,
+            simple._skill_vocab,
         )
         assert rebuilt.is_compact
-        assert rebuilt.state_digest() == reference.state_digest()
+        assert rebuilt.state_digest() == simple.state_digest()
 
     def test_from_csr_rejects_misaligned(self):
         with pytest.raises(ValueError):
@@ -272,9 +293,62 @@ class TestCompactMode:
             )
 
     def test_derived_matrices_match(self, simple):
-        reference = simple.copy()
-        compact = simple.compact()
-        np.testing.assert_array_equal(
-            compact.adjacency_csr().toarray(),
-            reference.adjacency_csr().toarray(),
+        """A network edited one call at a time and a one-pass build of
+        the same content derive the same matrices."""
+        twin = CollaborationNetwork.from_parts(
+            ["a", "b", "c", "d"], [{"y", "x"}, {"y"}, {"z"}, ()], [(2, 1), (0, 1)]
         )
+        assert twin.state_digest() == simple.state_digest()
+        for got, want in (
+            (simple.adjacency_csr(), twin.adjacency_csr()),
+            (simple.skill_matrix(), twin.skill_matrix()),
+            (simple.normalized_adjacency(), twin.normalized_adjacency()),
+        ):
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+
+class TestApplyDelta:
+    def test_flips_land_as_one_bump(self, simple):
+        version = simple.version
+        delta = simple.apply_delta(
+            [(3, "w", True), (0, "x", False)], [(2, 0, True), (1, 0, False)]
+        )
+        assert simple.version == delta.new_version == version + 1
+        assert delta.skill_flips == ((0, "x", False), (3, "w", True))
+        assert delta.edge_flips == ((0, 1, False), (0, 2, True))
+        assert simple.skills(0) == {"y"} and simple.skills(3) == {"w"}
+        assert simple.neighbors(0) == {2} and simple.neighbors(1) == {2}
+        assert simple.n_edges == 2
+        simple.validate()
+
+    def test_empty_batch_is_a_no_op(self, simple):
+        version = simple.version
+        delta = simple.apply_delta((), ())
+        assert delta.is_empty and simple.version == version
+
+    @pytest.mark.parametrize(
+        "skill_flips, edge_flips, match",
+        [
+            ((), [(0, 3, True), (3, 0, True)], "repeated edge"),
+            ((), [(0, 3, True), (0, 3, False)], "repeated edge"),
+            ([(3, "w", True), (3, "w", True)], (), "repeated skill"),
+            ([(0, "x", True)], (), "inapplicable skill"),
+            ([(0, "nope", False)], (), "inapplicable skill"),
+            ((), [(1, 0, True)], "inapplicable edge"),
+            ([(3, "w", True)], [(0, 2, False)], "inapplicable edge"),
+        ],
+    )
+    def test_rejected_batch_lands_nothing(self, simple, skill_flips, edge_flips, match):
+        digest, version = simple.state_digest(), simple.version
+        with pytest.raises(ValueError, match=match):
+            simple.apply_delta(skill_flips, edge_flips)
+        assert simple.state_digest() == digest and simple.version == version
+        assert simple.skill_universe() == {"x", "y", "z"}
+        simple.validate()
+
+    def test_mirrored_flip_is_canonical(self, simple):
+        delta = simple.apply_delta((), [(3, 0, True)])
+        assert delta.edge_flips == ((0, 3, True),)
+        assert simple.has_edge(0, 3) and simple.n_edges == 3
+        simple.validate()

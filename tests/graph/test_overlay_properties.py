@@ -9,7 +9,9 @@ second overlay, and every branch left behind is checked never to see the
 edits made after it was taken.
 
 ``commit()`` gets the same treatment: the committed base must equal a
-``copy()`` edited one call at a time, on set-mode and compact bases.
+``copy()`` edited one call at a time and, since both go through
+``apply_delta``, a network built from scratch (``from_parts``) over a
+plain Python-set model of the same edits.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ from repro.explain.features import (
     _masked_inputs_stepwise,
     masked_inputs,
 )
-from repro.graph import NetworkOverlay
+from repro.graph import CollaborationNetwork, NetworkOverlay
 
 N_PEOPLE = 8
 SKILLS = ("alpha", "beta", "gamma", "delta")
@@ -150,28 +152,54 @@ _READS = (
 )
 
 
-@given(st.lists(st.one_of(skill_edit, edge_edit), max_size=20), st.booleans())
+def _apply_to_model(skills, edges, step):
+    """One skill or edge edit on a plain Python-set model: per-person
+    skill sets and a set of ``(u, v)`` edges with ``u < v``.  A cancel
+    pair leaves the model as it was."""
+    kind = step[0]
+    if kind == "add_skill":
+        skills[step[1]].add(step[2])
+    elif kind == "remove_skill":
+        skills[step[1]].discard(step[2])
+    elif kind == "add_edge":
+        edges.add(tuple(sorted(step[1])))
+    elif kind == "remove_edge":
+        edges.discard(tuple(sorted(step[1])))
+
+
+@given(st.lists(st.one_of(skill_edit, edge_edit), max_size=20))
 @settings(max_examples=120, deadline=None)
-def test_commit_equals_one_call_replay(steps, compact):
+def test_commit_equals_one_call_replay(steps):
     """``commit()`` lands the overlay's flips as one sorted
     :class:`BaseDelta` and one version bump (none when the edits
     cancelled out), leaving the base equal to a ``copy()`` edited one
-    call at a time; a non-empty commit makes every read through this or
+    call at a time and to a from-scratch build of a Python-set model of
+    the same edits; a non-empty commit makes every read through this or
     any other overlay over the old version raise."""
     base = NET.copy()
-    if compact:
-        base.compact()
     replay = base.copy()
+    skills = [set(base.skills(p)) for p in base.people()]
+    edges = set(base.edges())
     overlay, sibling = NetworkOverlay(base), NetworkOverlay(base)
     for step in steps:
         _apply(overlay, step)
         _apply(replay, step)
+        _apply_to_model(skills, edges, step)
     flips = overlay.flips()
     version = base.version
 
     delta = overlay.commit()
 
-    assert base.state_digest() == replay.state_digest()
+    model = CollaborationNetwork.from_parts(
+        [base.name(p) for p in base.people()], skills, edges
+    )
+    assert base.state_digest() == replay.state_digest() == model.state_digest()
+    for got, want in (
+        (base.adjacency_csr(), model.adjacency_csr()),
+        (base.skill_matrix(), model.skill_matrix()),
+    ):
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
     assert list(delta.skill_flips) == sorted(delta.skill_flips)
     assert list(delta.edge_flips) == sorted(delta.edge_flips)
     assert flips == frozenset(

@@ -75,3 +75,47 @@ class TestInterface:
             net.add_person(f"p{i}", {"s"})
         gae = train_gae(net, GaeConfig(epochs=5, seed=6))
         assert gae.embeddings().shape[0] == 5
+
+
+def _sample_non_edges_loop(network, count, rng):
+    """The per-pair sampler the vectorized one replaced: one ``has_edge``
+    per drawn pair, valid pairs kept in draw order."""
+    n = network.n_people
+    out = []
+    attempts = 0
+    max_attempts = 50 * count + 100
+    while len(out) < count and attempts < max_attempts:
+        batch = max(count - len(out), 32)
+        us = rng.integers(0, n, size=batch)
+        vs = rng.integers(0, n, size=batch)
+        for u, v in zip(us, vs):
+            if len(out) >= count:
+                break
+            if u == v or network.has_edge(int(u), int(v)):
+                continue
+            out.append((int(u), int(v)))
+        attempts += batch
+    if not out:
+        return np.empty((0, 2), dtype=np.int64)
+    return np.asarray(out, dtype=np.int64)
+
+
+class TestNonEdgeSampling:
+    @pytest.mark.parametrize("count", [1, 31, 200, 5000])
+    def test_matches_per_pair_loop(self, community_net, count):
+        from repro.linkpred.gae import _sample_non_edges
+
+        for seed in range(3):
+            got = _sample_non_edges(community_net, count, np.random.default_rng(seed))
+            want = _sample_non_edges_loop(community_net, count, np.random.default_rng(seed))
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_complete_graph_yields_nothing(self):
+        from repro.linkpred.gae import _sample_non_edges
+
+        net = CollaborationNetwork.from_parts(
+            ["a", "b", "c"], [(), (), ()], [(0, 1), (0, 2), (1, 2)]
+        )
+        got = _sample_non_edges(net, 4, np.random.default_rng(0))
+        assert got.shape == (0, 2)

@@ -271,7 +271,6 @@ class TestStackedAssembly:
     @given(
         n_people=st.integers(4, 24),
         seed=st.integers(0, 40),
-        compact=st.booleans(),
         overlays=st.lists(
             st.lists(st.one_of(edge_edit, skill_edit), max_size=24),
             min_size=1,
@@ -288,11 +287,9 @@ class TestStackedAssembly:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_blocks_equal_rebuilds(
-        self, small_gcn_ranker, n_people, seed, compact, overlays, picks, queries
+        self, small_gcn_ranker, n_people, seed, overlays, picks, queries
     ):
         net = toy_network(n_people=n_people, seed=seed)
-        if compact:
-            net.compact()
         vocab = sorted(small_gcn_ranker._feature_vocab)
         # Skill flips inside the GCN vocabulary and outside it.
         skills = list(TOY_SKILLS) + vocab[:4] + ["unseen-a", "unseen-b"]

@@ -7,7 +7,7 @@ a tuple-key ``max`` for the cover and the connector.  It lives only here,
 as the oracle.  The parity fuzz cannot stand in for it: both of its sides
 run the same ``_form_impl``.
 
-The property test draws small random networks (set and compact storage),
+The property test draws small random networks,
 tie-heavy score vectors (±0.0 included), queries with terms nobody holds,
 ``max_size``/``max_connectors``, pinned and auto seeds, and overlays with
 skill and edge flips on the base run's frontier people.  Three paths must
@@ -132,12 +132,9 @@ def networks(draw):
     ]
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    net = CollaborationNetwork.from_parts(
+    return CollaborationNetwork.from_parts(
         [f"p{i}" for i in range(n)], skills, edges
     )
-    if draw(st.booleans()):
-        net.compact()
-    return net
 
 
 def _flip_skill(overlay, person, skill):
